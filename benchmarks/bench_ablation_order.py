@@ -36,7 +36,7 @@ def measure(bank):
     curves = {}
     for label, spec in order_specs(bank):
         streams = bank.streams(SCENE, spec, LAYOUT)
-        curves[label] = miss_rate_curve(streams.stream(LINE), LINE, CACHE_SIZES)
+        curves[label] = miss_rate_curve(streams, LINE, CACHE_SIZES)
     return curves
 
 

@@ -34,11 +34,11 @@ def measure(bank):
         for direction in ("horizontal", "vertical"):
             streams = bank.streams(name, (direction,), LAYOUT)
             curves[(name, direction)] = miss_rate_curve(
-                streams.stream(32), 32, CACHE_SIZES)
+                streams, 32, CACHE_SIZES)
         streams = bank.streams(name, ("horizontal",), LAYOUT)
         colds[name] = (
-            miss_rate_curve(streams.stream(32), 32, [CACHE_SIZES[-1]]).cold_miss_rate,
-            miss_rate_curve(streams.stream(128), 128, [CACHE_SIZES[-1]]).cold_miss_rate,
+            miss_rate_curve(streams, 32, [CACHE_SIZES[-1]]).cold_miss_rate,
+            miss_rate_curve(streams, 128, [CACHE_SIZES[-1]]).cold_miss_rate,
         )
     return curves, colds
 

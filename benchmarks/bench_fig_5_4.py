@@ -32,7 +32,7 @@ def measure(bank):
         for block in BLOCKS:
             streams = bank.streams(name, order, layout_spec(block))
             for line in LINE_SIZES:
-                curve = miss_rate_curve(streams.stream(line), line, [CACHE])
+                curve = miss_rate_curve(streams, line, [CACHE])
                 rates[(name, block, line)] = curve.miss_rates[0]
     return rates
 

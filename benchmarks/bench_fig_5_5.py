@@ -30,7 +30,7 @@ def measure(bank):
         for line, block in MATCHED.items():
             streams = bank.streams(name, order, ("blocked", block))
             rates[(name, line)] = miss_rate_curve(
-                streams.stream(line), line, [CACHE]).miss_rates[0]
+                streams, line, [CACHE]).miss_rates[0]
     return rates
 
 

@@ -32,7 +32,7 @@ def measure(bank):
     curves = {}
     for label, line, layout in SERIES:
         streams = bank.streams("guitar", ORDER, layout)
-        curves[label] = miss_rate_curve(streams.stream(line), line, CACHE_SIZES)
+        curves[label] = miss_rate_curve(streams, line, CACHE_SIZES)
     return curves
 
 

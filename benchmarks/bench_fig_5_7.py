@@ -30,10 +30,9 @@ def measure(bank):
     rates = {}
     for name, order in SCENES.items():
         streams = bank.streams(name, order, LAYOUT)
-        stream = streams.stream(LINE)
         for size in CACHE_SIZES:
             for assoc in ASSOCIATIVITIES:
-                stats = simulate(stream, CacheConfig(size, LINE, assoc))
+                stats = simulate(streams, CacheConfig(size, LINE, assoc))
                 rates[(name, size, assoc)] = stats.miss_rate
     return rates
 

@@ -32,7 +32,7 @@ def measure(bank):
         for tile in TILES:
             streams = bank.streams(scene, order_spec(tile), LAYOUT)
             curves[(scene, tile)] = miss_rate_curve(
-                streams.stream(LINE), LINE, CACHE_SIZES)
+                streams, LINE, CACHE_SIZES)
     return curves
 
 

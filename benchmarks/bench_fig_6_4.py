@@ -43,13 +43,10 @@ def measure(bank):
             config = CacheConfig(size, LINE, 2)
             for label, layout in layout_specs(size):
                 streams = bank.streams(scene, tiled_order, layout)
-                results[(scene, size, label)] = classify_misses(
-                    streams.stream(LINE), config,
-                    profile=streams.profile(LINE))
+                results[(scene, size, label)] = classify_misses(streams, config)
             nontiled_streams = bank.streams(scene, NONTILED[scene], ("blocked", 8))
             results[(scene, size, "nontiled blocked")] = classify_misses(
-                nontiled_streams.stream(LINE), config,
-                profile=nontiled_streams.profile(LINE))
+                nontiled_streams, config)
     return results
 
 

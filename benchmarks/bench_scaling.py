@@ -172,13 +172,8 @@ def _run_pipeline(scene: str, scale: float, mode: str, chunk_size: int,
         # and one per-set pass per (line size, set count), via the
         # materialized stream.
         streams = engine.streams(spec, STREAM_LAYOUT)
-        classify = []
-        for config in _stream_configs(scale):
-            cfg = CacheConfig(*config)
-            classify.append(classify_misses(
-                streams.stream(cfg.line_size), cfg,
-                profile=streams.profile(cfg.line_size),
-                set_profile=streams.set_profile(cfg.line_size, cfg.n_sets)))
+        classify = [classify_misses(streams, CacheConfig(*config))
+                    for config in _stream_configs(scale)]
     curve = miss_rate_curve(streams, STREAM_LINE_SIZE, _stream_sizes(scale))
     elapsed = time.perf_counter() - start
     reader = engine.store.open_render_blocks(spec)

@@ -54,10 +54,9 @@ def measure(bank):
     for scene in PAPER:
         for line, block in LINES.items():
             streams = bank.streams(scene, ORDER, ("padded", block, 4))
-            stream = streams.stream(line)
             for paper_kb, assoc in CACHES:
                 config = CacheConfig(scaled_cache(paper_kb * 1024), line, assoc)
-                stats = simulate(stream, config)
+                stats = simulate(streams, config)
                 results[(scene, paper_kb, line)] = stats.miss_rate
     return results
 

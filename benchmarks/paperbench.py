@@ -7,8 +7,12 @@ memoizes scenes, renders, placements and streams in memory, and the
 content-addressed :class:`~repro.engine.ArtifactStore` (default
 ``benchmarks/.cache/``, relocatable via ``REPRO_CACHE_DIR``) persists
 rendered traces, byte-address streams and stack-distance profiles on
-disk -- so a warm pytest-benchmark session performs **zero** renders
-and reproduces bit-identical numbers.
+disk.  Harnesses hand the store-backed ``bank.streams(...)`` profile
+source itself to ``miss_rate_curve``/``simulate``/``classify_misses``
+(never ``streams.stream(line)``), so a warm pytest-benchmark session
+performs **zero** renders, loads no address stream and runs **no**
+distance pass: every number is read off a stored profile,
+bit-identical to the cold run.
 
 Scale: ``REPRO_SCALE`` (default 0.25) scales the scenes as described in
 DESIGN.md; cache sizes quoted from the paper are scaled linearly with

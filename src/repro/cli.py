@@ -240,8 +240,8 @@ def _simulate(args) -> int:
               "(--chunk-size/--shards/--stream-workers)", file=sys.stderr)
         return 2
     else:
-        addresses = engine.addresses(spec, layout_spec)
-        stats = classify_misses(addresses, config, kernel=args.kernel)
+        stats = classify_misses(engine.streams(spec, layout_spec), config,
+                                kernel=args.kernel)
     bandwidth = cached_bandwidth(stats.miss_rate, args.line_size)
     print(f"{args.scene} / {layout_from_spec(layout_spec).name} / "
           f"{order_from_spec(spec.order).name} / {config.label()}")

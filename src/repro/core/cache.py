@@ -322,12 +322,41 @@ def simulate_sequence(segments, config: CacheConfig,
     return stats
 
 
+def is_profile_source(trace) -> bool:
+    """True for a *profile source*: any object serving memoized
+    distance profiles through ``profile(line_size)`` and
+    ``set_profile(line_size, n_sets)`` --
+    :class:`~repro.core.sweep.TraceStreams`,
+    :class:`~repro.engine.runner.StoredTraceStreams` or
+    :class:`~repro.engine.streaming.StreamedProfiles`."""
+    return hasattr(trace, "profile") and hasattr(trace, "set_profile")
+
+
+def as_line_stream(trace, line_size: int) -> LineStream:
+    """The collapsed :class:`LineStream` of ``trace`` at ``line_size``:
+    a byte-address array is collapsed, a matching :class:`LineStream`
+    passes through, and a profile source serves its memoized stream."""
+    if isinstance(trace, LineStream):
+        if trace.line_size != line_size:
+            raise ValueError(
+                f"LineStream line size {trace.line_size} != config {line_size}"
+            )
+        return trace
+    if is_profile_source(trace):
+        return trace.stream(line_size)
+    return LineStream.from_addresses(trace, line_size)
+
+
 def simulate(trace, config: CacheConfig, policy: str = "lru", seed: int = 0,
              kernel: str = "vectorized") -> CacheStats:
     """Simulate ``trace`` against ``config``.
 
-    ``trace`` is either a byte-address array or a prepared
-    :class:`LineStream` (whose ``line_size`` must match the config).
+    ``trace`` is a byte-address array, a prepared :class:`LineStream`
+    (whose ``line_size`` must match the config) or a profile source
+    (see :func:`is_profile_source`).  A profile source answers the
+    vectorized LRU case from its memoized -- possibly store-backed --
+    ``set_profile(line_size, n_sets)`` without touching the address
+    stream; every other case reads ``trace.stream(line_size)``.
     ``policy`` selects the replacement policy (``lru``, ``fifo``,
     ``random``); note that collapsing consecutive duplicates is exact
     for all three (a repeat access to a resident line never evicts).
@@ -342,15 +371,12 @@ def simulate(trace, config: CacheConfig, policy: str = "lru", seed: int = 0,
     from . import kernels
 
     kernels.check_kernel(kernel)
-    if isinstance(trace, LineStream):
-        if trace.line_size != config.line_size:
-            raise ValueError(
-                f"LineStream line size {trace.line_size} != config {config.line_size}"
-            )
-        stream = trace
-    else:
-        stream = LineStream.from_addresses(trace, config.line_size)
-    if policy == "lru" and kernel == "vectorized":
+    vectorized_lru = policy == "lru" and kernel == "vectorized"
+    if vectorized_lru and is_profile_source(trace):
+        return trace.set_profile(config.line_size,
+                                 config.n_sets).stats_for(config)
+    stream = as_line_stream(trace, config.line_size)
+    if vectorized_lru:
         return kernels.simulate_stream(stream, config)
     misses, cold = _simulate_runs(stream.run_lines, config, policy=policy, seed=seed)
     return CacheStats(

@@ -21,7 +21,13 @@ per-access Python loop runs anywhere on the LRU path.
 from __future__ import annotations
 
 from . import kernels
-from .cache import CacheConfig, CacheStats, LineStream, _simulate_runs
+from .cache import (
+    CacheConfig,
+    CacheStats,
+    _simulate_runs,
+    as_line_stream,
+    is_profile_source,
+)
 from .stackdist import DistanceProfile
 
 
@@ -31,36 +37,43 @@ def classify_misses(trace, config: CacheConfig,
                     kernel: str = "vectorized") -> CacheStats:
     """Simulate ``config`` and decompose its misses into the 3C model.
 
-    ``trace`` is a byte-address array or a :class:`LineStream` matching
-    the config's line size.  Pass a precomputed ``profile`` (from the
-    same stream) to amortize the fully-associative distance pass across
-    configs, and -- on the vectorized kernel -- a ``set_profile``
-    matching ``(config.line_size, config.n_sets)`` to amortize the
-    per-set pass across every associativity sharing it.
+    ``trace`` is a byte-address array, a :class:`LineStream` matching
+    the config's line size, or a profile source (see
+    :func:`~repro.core.cache.is_profile_source`).  On the vectorized
+    kernel a profile source supplies both distance profiles --
+    ``profile(line_size)`` and ``set_profile(line_size, n_sets)``,
+    memoized and possibly store-backed -- and the access count, so
+    the address stream is never read; ``kernel="reference"`` reads
+    ``trace.stream(line_size)`` and simulates it sequentially.
+
+    Pass a precomputed ``profile`` (from the same stream) to amortize
+    the fully-associative distance pass across configs, and -- on the
+    vectorized kernel -- a ``set_profile`` matching
+    ``(config.line_size, config.n_sets)`` to amortize the per-set pass
+    across every associativity sharing it.
     """
     kernels.check_kernel(kernel)
-    if isinstance(trace, LineStream):
-        if trace.line_size != config.line_size:
-            raise ValueError("LineStream line size mismatch")
-        stream = trace
-    else:
-        stream = LineStream.from_addresses(trace, config.line_size)
+    line_size = config.line_size
+    source = kernel == "vectorized" and is_profile_source(trace)
+    stream = None if source else as_line_stream(trace, line_size)
 
     if profile is None:
-        profile = DistanceProfile.from_stream(stream, kernel=kernel)
+        profile = (trace.profile(line_size) if source
+                   else DistanceProfile.from_stream(stream, kernel=kernel))
     fully_associative_misses = profile.misses_at(config.n_lines)
 
-    if kernel == "vectorized":
-        if config.n_sets == 1:
-            # The set-associative cache IS the fully-associative one.
-            misses, cold = fully_associative_misses, profile.cold
-        else:
-            if set_profile is None:
-                set_profile = kernels.SetDistanceProfile.from_stream(
-                    stream, config.n_sets)
-            misses, cold = set_profile.stats_pair(config)
-    else:
+    if kernel == "reference":
         misses, cold = _simulate_runs(stream.run_lines, config)
+    elif config.n_sets == 1:
+        # The set-associative cache IS the fully-associative one.
+        misses, cold = fully_associative_misses, profile.cold
+    else:
+        if set_profile is None:
+            set_profile = (
+                trace.set_profile(line_size, config.n_sets) if source
+                else kernels.SetDistanceProfile.from_stream(
+                    stream, config.n_sets))
+        misses, cold = set_profile.stats_pair(config)
     capacity = fully_associative_misses - cold
     conflict = misses - fully_associative_misses
     if conflict < 0:
@@ -71,7 +84,7 @@ def classify_misses(trace, config: CacheConfig,
         conflict = 0
     return CacheStats(
         config=config,
-        accesses=stream.total_accesses,
+        accesses=profile.total_accesses,
         misses=misses,
         cold_misses=cold,
         capacity_misses=capacity,

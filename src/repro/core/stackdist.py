@@ -26,7 +26,13 @@ from typing import Optional
 
 import numpy as np
 
-from .cache import CacheConfig, CacheStats, LineStream
+from .cache import (
+    CacheConfig,
+    CacheStats,
+    LineStream,
+    as_line_stream,
+    is_profile_source,
+)
 
 #: Distance value recorded for cold (first-touch) accesses.
 COLD = -1
@@ -177,22 +183,15 @@ def miss_rate_curve(trace, line_size: int, cache_sizes) -> MissRateCurve:
     """Fully-associative LRU miss rates for every size in
     ``cache_sizes`` (bytes), from a single stack-distance pass.
 
-    ``trace`` is a byte-address array, a :class:`LineStream`, or any
-    object with ``stream(line_size)``/``profile(line_size)`` memoizers
-    (:class:`~repro.core.sweep.TraceStreams`), in which case the
-    memoized -- possibly store-backed -- profile is reused instead of
-    recomputed.
+    ``trace`` is a byte-address array, a :class:`LineStream`, or a
+    profile source (:func:`~repro.core.cache.is_profile_source`), in
+    which case the memoized -- possibly store-backed -- profile is
+    reused instead of recomputed.
     """
-    if hasattr(trace, "profile") and hasattr(trace, "stream"):
+    if is_profile_source(trace):
         profile = trace.profile(line_size)
     else:
-        if isinstance(trace, LineStream):
-            if trace.line_size != line_size:
-                raise ValueError("LineStream line size mismatch")
-            stream = trace
-        else:
-            stream = LineStream.from_addresses(trace, line_size)
-        profile = DistanceProfile.from_stream(stream)
+        profile = DistanceProfile.from_stream(as_line_stream(trace, line_size))
     sizes = np.asarray(sorted(cache_sizes), dtype=np.int64)
     total = profile.total_accesses
     misses = np.array([

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .cache import CacheConfig, LineStream, simulate
+from .cache import CacheConfig, LineStream, is_profile_source, simulate
 from .classify import classify_misses
 from .kernels import SetDistanceProfile
 from .stackdist import DistanceProfile, MissRateCurve, miss_rate_curve
@@ -35,12 +35,15 @@ PAPER_ASSOCIATIVITIES = (1, 2, 4, 8, 16, None)
 @dataclass
 class TraceStreams:
     """Per-line-size collapsed streams, distance profiles and per-set
-    profiles for one byte-address trace, built lazily and memoized.
+    profiles for one byte-address trace, built lazily and memoized --
+    the in-RAM profile source (see
+    :func:`~repro.core.cache.is_profile_source`).
 
-    ``kernel`` selects how profiles are computed; the per-stream
-    previous-occurrence index is shared by the fully-associative
-    profile and every per-set profile of the same line size, so an
-    associativity grid pays for it once.
+    ``kernel`` selects how profiles are computed.  Only the profiles
+    and streams are memoized: the previous-occurrence index a distance
+    pass builds lives only as long as that pass (the per-set passes
+    derive their own from the set-partitioned stream), so a
+    long-lived source holds no index arrays.
     """
 
     addresses: np.ndarray
@@ -51,32 +54,16 @@ class TraceStreams:
         self._streams = {}
         self._profiles = {}
         self._set_profiles = {}
-        self._previous = {}
 
     def stream(self, line_size: int) -> LineStream:
         if line_size not in self._streams:
             self._streams[line_size] = LineStream.from_addresses(self.addresses, line_size)
         return self._streams[line_size]
 
-    def previous(self, line_size: int) -> np.ndarray:
-        """Previous-occurrence indices of the collapsed stream, shared
-        by every profile pass at this line size."""
-        if line_size not in self._previous:
-            self._previous[line_size] = kernels.previous_occurrences(
-                self.stream(line_size).run_lines)
-        return self._previous[line_size]
-
     def profile(self, line_size: int) -> DistanceProfile:
         if line_size not in self._profiles:
-            stream = self.stream(line_size)
-            if self.kernel == "vectorized":
-                counts, cold = kernels.set_distance_histogram(
-                    stream.run_lines, 1, prev=self.previous(line_size))
-                built = DistanceProfile(counts=counts, cold=cold,
-                                        duplicate_hits=stream.duplicate_hits)
-            else:
-                built = DistanceProfile.from_stream(stream, kernel=self.kernel)
-            self._profiles[line_size] = built
+            self._profiles[line_size] = DistanceProfile.from_stream(
+                self.stream(line_size), kernel=self.kernel)
         return self._profiles[line_size]
 
     def set_profile(self, line_size: int, n_sets: int) -> SetDistanceProfile:
@@ -93,14 +80,13 @@ class TraceStreams:
                     cold=profile.cold, duplicate_hits=profile.duplicate_hits)
             else:
                 built = SetDistanceProfile.from_stream(
-                    self.stream(line_size), n_sets,
-                    prev=self.previous(line_size))
+                    self.stream(line_size), n_sets)
             self._set_profiles[key] = built
         return self._set_profiles[key]
 
 
-def _as_streams(trace, kernel: str) -> TraceStreams:
-    if isinstance(trace, TraceStreams):
+def _as_streams(trace, kernel: str):
+    if is_profile_source(trace):
         return trace
     return TraceStreams(np.asarray(trace), kernel=kernel)
 
@@ -119,19 +105,12 @@ def sweep_cache_sizes(
     """
     kernels.check_kernel(kernel)
     streams = _as_streams(trace, kernel)
-    stream = streams.stream(line_size)
     if assoc is None:
         curve = miss_rate_curve(streams, line_size, cache_sizes)
         return curve.as_stats()
-    stats = []
-    for size in sorted(cache_sizes):
-        config = CacheConfig(size=int(size), line_size=line_size, assoc=assoc)
-        if kernel == "vectorized":
-            stats.append(
-                streams.set_profile(line_size, config.n_sets).stats_for(config))
-        else:
-            stats.append(simulate(stream, config, kernel=kernel))
-    return stats
+    return [simulate(streams, CacheConfig(size=int(size), line_size=line_size,
+                                          assoc=assoc), kernel=kernel)
+            for size in sorted(cache_sizes)]
 
 
 def sweep_associativities(
@@ -146,24 +125,15 @@ def sweep_associativities(
     """
     kernels.check_kernel(kernel)
     streams = _as_streams(trace, kernel)
-    stream = streams.stream(line_size)
     stats = []
     for assoc in associativities:
         config = CacheConfig(size=size, line_size=line_size, assoc=assoc)
-        if kernel == "vectorized":
-            set_profile = streams.set_profile(line_size, config.n_sets)
-            if classify:
-                stats.append(classify_misses(
-                    stream, config, profile=streams.profile(line_size),
-                    set_profile=set_profile, kernel=kernel))
-            else:
-                stats.append(set_profile.stats_for(config))
-        elif classify:
+        if classify:
             stats.append(classify_misses(
-                stream, config, profile=streams.profile(line_size),
+                streams, config, profile=streams.profile(line_size),
                 kernel=kernel))
         else:
-            stats.append(simulate(stream, config, kernel=kernel))
+            stats.append(simulate(streams, config, kernel=kernel))
     return stats
 
 

@@ -367,10 +367,24 @@ class ArtifactStore:
         """Read-through: copy a remote artifact (payload or chunked
         parts, then the sidecar) into the local tier.  The caller
         re-runs the normal local verification afterwards, so corrupt
-        remote bytes quarantine locally and read as a miss."""
+        remote bytes quarantine locally and read as a miss.
+
+        Concurrent readers of one digest fetch under its single-flight
+        lock: the sidecar lands last, so a reader that finds the
+        payload but not yet the sidecar waits for the fetch in flight
+        instead of reading the half-fetched artifact as a miss."""
         remote = self._remote()
         if remote is None or self._demoted:
             return False
+        # A lock of its own: loads also run under the per-kind compute
+        # lock of the same digest, which this process may already hold.
+        with self.single_flight(kind + ".fetch", digest):
+            if self._path(kind, digest, ".json").exists():
+                return True  # another reader completed the fetch
+            return self._fetch_remote_files(remote, kind, digest, suffix)
+
+    def _fetch_remote_files(self, remote: tiers.RemoteTier, kind: str,
+                            digest: str, suffix: str) -> bool:
         sidecar_name = digest + ".json"
         try:
             meta = json.loads(
@@ -539,8 +553,9 @@ class ArtifactStore:
         the grace window) read as a plain miss."""
         path = self._path(kind, digest, suffix)
         sidecar = self._path(kind, digest, ".json")
-        if not path.exists() and not sidecar.exists():
-            if not self._fetch_remote(kind, digest, suffix):
+        if not sidecar.exists():
+            fetched = self._fetch_remote(kind, digest, suffix)
+            if not fetched and not path.exists():
                 return None
         try:
             meta = self._verify_envelope(kind, path, sidecar)

@@ -38,7 +38,7 @@ import numpy as np
 
 from ..core.cache import CacheConfig, CacheStats, simulate
 from ..core.kernels import SetDistanceProfile, check_kernel
-from ..core.stackdist import DistanceProfile, miss_rate_curve
+from ..core.stackdist import DistanceProfile
 from ..core.sweep import TraceStreams
 from ..pipeline.renderer import Renderer, RenderResult
 from ..scenes import ALL_SCENES
@@ -155,7 +155,9 @@ class StoredTraceStreams(TraceStreams):
     def set_profile(self, line_size: int, n_sets: int) -> SetDistanceProfile:
         key = (line_size, n_sets)
         if key not in self._set_profiles:
-            if not self._backed():
+            if n_sets == 1 or not self._backed():
+                # One set derives from the (store-backed) profile; it
+                # has no artifact of its own.
                 return super().set_profile(line_size, n_sets)
             compute = super().set_profile
             self._set_profiles[key] = self._through_store(
@@ -433,42 +435,15 @@ class Engine:
 
     def _sweep_sizes(self, trace_spec, layout_spec, streams, line_size,
                      assoc, cache_sizes, kernel: str = "vectorized") -> list:
-        rows = []
-        if assoc is None:
-            if kernel == "vectorized":
-                curve = miss_rate_curve(streams, line_size,
-                                        sorted(cache_sizes))
-                stats_per_size = curve.as_stats()
-            else:
-                # The reference oracle must really be the sequential
-                # simulator, not the vectorized profile in disguise.
-                stream = streams.stream(line_size)
-                stats_per_size = [
-                    simulate(stream, CacheConfig(int(size), line_size, None),
-                             kernel=kernel)
-                    for size in sorted(cache_sizes)]
-            for stats in stats_per_size:
-                rows.append(ExperimentRow(
-                    scene=trace_spec.scene, order=trace_spec.order,
-                    layout=tuple(layout_spec), stats=stats))
-        else:
-            # The vectorized path reads everything off per-set
-            # profiles; only the reference simulator materializes the
-            # line stream (which streaming profiles refuse to do).
-            stream = None
-            for size in sorted(cache_sizes):
-                config = CacheConfig(int(size), line_size, assoc)
-                if kernel == "vectorized":
-                    stats = streams.set_profile(
-                        line_size, config.n_sets).stats_for(config)
-                else:
-                    if stream is None:
-                        stream = streams.stream(line_size)
-                    stats = simulate(stream, config, kernel=kernel)
-                rows.append(ExperimentRow(
-                    scene=trace_spec.scene, order=trace_spec.order,
-                    layout=tuple(layout_spec), stats=stats))
-        return rows
+        # The vectorized kernel reads every cell off the source's
+        # (prefetched) profiles; the reference oracle really replays
+        # the materialized stream through the sequential simulator.
+        return [ExperimentRow(
+            scene=trace_spec.scene, order=trace_spec.order,
+            layout=tuple(layout_spec),
+            stats=simulate(streams, CacheConfig(int(size), line_size, assoc),
+                           kernel=kernel))
+            for size in sorted(cache_sizes)]
 
     def _warm_parallel(self, experiment: ExperimentSpec,
                        workers: int) -> WarmReport:

@@ -158,11 +158,11 @@ class StreamedProfiles:
     """Distance profiles for one ``(trace, layout)`` computed as a
     constant-memory fold over fragment blocks.
 
-    Drop-in for :class:`~repro.engine.runner.StoredTraceStreams` on the
-    vectorized kernel; :meth:`stream` exists only to satisfy the duck
-    check and raises, because streaming never materializes a
-    :class:`~repro.core.cache.LineStream` (the reference simulator
-    needs the in-RAM path).
+    A profile source (:func:`~repro.core.cache.is_profile_source`):
+    drop-in for :class:`~repro.engine.runner.StoredTraceStreams` on the
+    vectorized kernel.  :meth:`stream` raises, because streaming never
+    materializes a :class:`~repro.core.cache.LineStream` (the reference
+    simulator needs the in-RAM path).
     """
 
     def __init__(self, store: Optional[ArtifactStore], trace_spec: TraceSpec,
@@ -520,15 +520,8 @@ def classify_streamed(streams: StreamedProfiles,
                       config: CacheConfig) -> CacheStats:
     """3C classification off streamed profiles -- bit-identical to
     :func:`~repro.core.classify.classify_misses` over the materialized
-    address stream, with no per-access pass."""
+    address stream, with no per-access pass.  Both profiles come out
+    of one fold."""
     streams.prefetch([(config.line_size, 1),
                       (config.line_size, config.n_sets)])
-    profile = streams.profile(config.line_size)
-    set_profile = streams.set_profile(config.line_size, config.n_sets)
-    # classify_misses only needs the stream for its access count; the
-    # profiles carry everything else.
-    stub = LineStream(line_size=config.line_size,
-                      run_lines=np.empty(0, dtype=np.int64),
-                      total_accesses=profile.total_accesses)
-    return classify_misses(stub, config, profile=profile,
-                           set_profile=set_profile)
+    return classify_misses(streams, config)

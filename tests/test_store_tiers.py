@@ -6,9 +6,11 @@ tampering is never masked by a process-level hit, and hash-at-most-once
 loads.  Covers T2 (``REPRO_STORE_REMOTE``): zero-render read-through
 into a cold local store, local quarantine + recompute on remote
 corruption, degradation when the remote root is unreachable, and
-concurrent read-throughs deduplicating into one verified local copy.
+concurrent read-throughs deduplicating into one verified local copy
+(including a reader arriving between the payload and sidecar fetch).
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -260,6 +262,57 @@ class TestRemoteTier:
         assert engine.streams(SPEC, LAYOUT).profile(32) is not None
         remote = store.stats()["remote"]
         assert remote["configured"] and not remote["reachable"]
+
+    def test_half_fetched_read_through_still_hits(self, tmp_path,
+                                                  remote_root):
+        # A concurrent reader's fetch lands the payload first and the
+        # sidecar second; a second reader arriving in between must
+        # wait for (or finish) that fetch, not read a miss.
+        _, engine = warm_store(tmp_path / "origin")
+        reference = engine.streams(SPEC, LAYOUT).profile(32)
+        tiers.clear_process_caches()
+        digest = fingerprint(PROFILE_32)
+        cold = ArtifactStore(tmp_path / "cold")
+        assert tiers.RemoteTier(remote_root).fetch(
+            "profiles", digest + ".npz", cold.root / "profiles")
+        assert not (cold.root / "profiles" / (digest + ".json")).exists()
+
+        fetched = cold.load_profile(PROFILE_32)
+        assert fetched is not None
+        np.testing.assert_array_equal(fetched.counts, reference.counts)
+        assert quarantine_reasons(cold, "profiles") == ""
+        report = ArtifactStore(cold.root).verify()
+        assert report["clean"] and report["ok"] == 1
+
+    def test_read_through_stress_every_reader_hits(self, tmp_path,
+                                                   remote_root):
+        # More readers than cores, switching threads as often as the
+        # interpreter allows: none may read the fetch in flight as a
+        # miss.
+        warm_store(tmp_path / "origin")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_index in range(5):
+                tiers.clear_process_caches()
+                cold_root = tmp_path / f"cold-{round_index}"
+                results = []
+
+                def fetch():
+                    results.append(
+                        ArtifactStore(cold_root).load_profile(PROFILE_32))
+
+                threads = [threading.Thread(target=fetch)
+                           for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(results) == 8
+                assert all(result is not None for result in results)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_concurrent_read_throughs_dedup(self, tmp_path, remote_root):
         warm_store(tmp_path / "origin")
