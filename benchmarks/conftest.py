@@ -12,8 +12,10 @@ from paperbench import SceneBank  # noqa: E402
 
 @pytest.fixture(scope="session")
 def bank():
-    """One SceneBank per benchmark session: renders are shared across
-    every table/figure harness."""
+    """One SceneBank per benchmark session: its engine's memos and store
+    are shared across every table/figure harness, and the profile
+    harnesses resolve their store misses on its persistent worker
+    pool."""
     shared = SceneBank()
     # Self-heal before a long bench session: quarantine anything a
     # previous crashed run corrupted and purge its stale temp litter.

@@ -14,6 +14,18 @@ performs **zero** renders, loads no address stream and runs **no**
 distance pass: every number is read off a stored profile,
 bit-identical to the cold run.
 
+The profile harnesses state their whole grid once, as ``{key: (scene,
+order, layout, query)}`` cells (queries: :func:`curve`,
+:func:`simulated`, :func:`classified`), and hand it to
+:meth:`SceneBank.evaluate`.  That first prefetches every profile the
+cells read: a cold run resolves them on the engine's persistent
+worker pool -- one job per (trace, layout) with a store miss,
+rendering, mapping and running the distance passes in the worker --
+so the independent passes of a figure run in parallel and this
+process never holds their renders or address streams.  A warm run
+loads every profile from the store and starts no pool.  Then it
+evaluates the same cells off the memoized profiles.
+
 Scale: ``REPRO_SCALE`` (default 0.25) scales the scenes as described in
 DESIGN.md; cache sizes quoted from the paper are scaled linearly with
 the same factor (working sets scale with the scan-line texel span), so
@@ -29,6 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core import classify_misses, miss_rate_curve, simulate
 from repro.engine import (
     ArtifactStore,
     Engine,
@@ -112,6 +125,20 @@ class SceneBank:
         return self.engine.streams(self._spec(name, order_spec, **options),
                                    layout_spec)
 
+    def evaluate(self, grid: dict) -> dict:
+        """Evaluate a harness's grid: ``{key: (scene, order, layout,
+        query)}`` -> ``{key: query's result on streams(scene, order,
+        layout)}``.  Every profile the queries read is resolved first,
+        in one batch (:meth:`~repro.engine.Engine.prefetch`: store hits
+        load here, misses run on the engine's worker pool)."""
+        self.engine.prefetch([(self._spec(name, order_spec), layout_spec,
+                               query.pairs)
+                              for name, order_spec, layout_spec, query
+                              in grid.values()])
+        return {key: query(self.streams(name, order_spec, layout_spec))
+                for key, (name, order_spec, layout_spec, query)
+                in grid.items()}
+
     def streamed(self, name: str, order_spec: tuple, layout_spec: tuple,
                  chunk_size: int = None, **options):
         """Constant-memory :class:`~repro.engine.streaming.StreamedProfiles`
@@ -119,6 +146,38 @@ class SceneBank:
         fragment blocks, never materialized whole."""
         return self.engine.streamed(self._spec(name, order_spec, **options),
                                     layout_spec, chunk_size=chunk_size)
+
+
+class _Query:
+    """One harness measurement on a profile source: ``pairs`` are the
+    ``(line_size, n_sets)`` profiles it reads (``n_sets`` 1 for the
+    fully associative profile)."""
+
+    def __init__(self, pairs, run):
+        self.pairs = tuple(pairs)
+        self._run = run
+
+    def __call__(self, streams):
+        return self._run(streams)
+
+
+def curve(line_size: int, cache_sizes) -> _Query:
+    """``miss_rate_curve(streams, line_size, cache_sizes)``."""
+    return _Query([(line_size, 1)], lambda streams: miss_rate_curve(
+        streams, line_size, cache_sizes))
+
+
+def simulated(config) -> _Query:
+    """``simulate(streams, config)``."""
+    return _Query([(config.line_size, config.n_sets)],
+                  lambda streams: simulate(streams, config))
+
+
+def classified(config) -> _Query:
+    """``classify_misses(streams, config)``: the 3C split reads the
+    fully associative profile and the configuration's per-set one."""
+    return _Query([(config.line_size, 1), (config.line_size, config.n_sets)],
+                  lambda streams: classify_misses(streams, config))
 
 
 def emit(experiment: str, text: str) -> None:
@@ -134,9 +193,12 @@ __all__ = [
     "SCALE",
     "RESULTS_DIR",
     "SceneBank",
+    "classified",
+    "curve",
     "emit",
     "kb",
     "layout_from_spec",
     "order_from_spec",
     "scaled_cache",
+    "simulated",
 ]

@@ -9,8 +9,9 @@ obtain pipeline intermediates:
 * :class:`TraceSpec` / :class:`ExperimentSpec` -- declarative
   descriptions of one render or a whole sweep grid;
 * :class:`Engine` / :func:`run_experiment` -- the runner that
-  deduplicates shared stages and optionally fans scenes out across
-  ``multiprocessing`` workers.
+  deduplicates shared stages; :meth:`Engine.prefetch` resolves a batch
+  of profile requests' store misses in parallel on the persistent
+  worker pool.
 
 Quickstart::
 

@@ -6,17 +6,19 @@ something eventually".  ``REPRO_FAULT_PLAN`` is a semicolon-separated
 list of directives::
 
     kill-worker:range=1,block=2,scope=once
+    kill-worker:job=1,scope=once
     wedge-worker:range=0,block=1,seconds=3600
     drop-shm:range=0,block=1,scope=once
     enospc:range=1,block=0,scope=once
     kill-run:after=1,mode=raise
 
-Each action has a fixed injection point in the pipelined engine
+Each action has fixed injection points in the pipelined engine
 (:data:`ACTION_POINTS`); the engine calls :func:`maybe_fault` at those
-points with its live context (``range=...``, ``block=...``) and a
-directive fires when every matcher equals the context.  Reserved keys
-(``scope``, ``mode``, ``seconds``) parameterize the fault instead of
-matching.
+points with its live context (``range=...``, ``block=...`` while
+rendering a range; ``job=...`` when a worker picks up a profiles job)
+and a directive fires when every matcher equals the context.  Reserved
+keys (``scope``, ``mode``, ``seconds``) parameterize the fault instead
+of matching.
 
 ``scope=once`` fires a directive exactly once across *every* process
 of the run: firing requires atomically claiming a marker file under
@@ -28,8 +30,9 @@ exhausts a retry budget.
 Actions
 -------
 ``kill-worker``
-    ``os._exit(1)`` in the rendering worker -- a hard crash with no
-    cleanup, like the OOM killer.
+    ``os._exit(1)`` in the rendering worker, or in the worker starting
+    profiles job ``job`` of a batch -- a hard crash with no cleanup,
+    like the OOM killer.
 ``wedge-worker``
     The worker sleeps ``seconds`` (default forever, by supervision
     standards) without producing events -- a livelocked worker whose
@@ -54,14 +57,14 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-#: Injection point of each action; :func:`maybe_fault` only considers
+#: Injection points of each action; :func:`maybe_fault` only considers
 #: directives whose action belongs to the point it is called from.
 ACTION_POINTS = {
-    "kill-worker": "render-block",
-    "wedge-worker": "render-block",
-    "enospc": "render-block",
-    "drop-shm": "ship-block",
-    "kill-run": "range-complete",
+    "kill-worker": ("render-block", "profiles-job"),
+    "wedge-worker": ("render-block", "profiles-job"),
+    "enospc": ("render-block",),
+    "drop-shm": ("ship-block",),
+    "kill-run": ("range-complete",),
 }
 
 #: Directive keys that parameterize the fault rather than match.
@@ -144,7 +147,7 @@ def active_faults(point: str) -> tuple:
     if _CACHE[0] != text:
         _CACHE = (text, _parse_plan(text))
     return tuple(fault for fault in _CACHE[1]
-                 if ACTION_POINTS[fault.action] == point)
+                 if point in ACTION_POINTS[fault.action])
 
 
 def _claim_once(fault: Fault) -> bool:

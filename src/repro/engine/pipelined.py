@@ -8,7 +8,7 @@ processes, with bit-identical results::
 
     parent                          workers (persistent StreamPool)
     ------                          -------------------------------
-    submit render ranges   ----->   task queue
+    assign render ranges   ----->   one task channel per worker
     supervise: heartbeats,          render one contiguous clipped-
     deadlines, respawn dead         triangle slice -> FragmentBlocks,
     workers, retry failed           persist each part, fold it into
@@ -60,11 +60,13 @@ verify as a complete artifact.
 it degrades through an escalation ladder, each rung strictly cheaper
 than the next:
 
-1. *Supervised retry.*  The parent (:class:`_Supervision`) tracks
-   which worker owns which range through ``started`` events and a
-   shared heartbeat array.  A dead worker (SIGKILL, OOM) is detected
-   by liveness polling and respawned in place -- forked from the
-   parent, so it re-inherits the copy-on-write scene memo -- and a
+1. *Supervised retry.*  The parent (:class:`_Supervision`) hands
+   each idle worker one range at a time through that worker's own
+   task channel, so it always knows which worker owns which range,
+   and watches a heartbeat array.  A dead worker (SIGKILL, OOM) is
+   detected by liveness polling and respawned in place, with a fresh
+   channel -- forked from the parent, so it re-inherits the
+   copy-on-write scene memo -- and a
    wedged worker (heartbeat stale past the per-job deadline,
    ``REPRO_STREAM_JOB_TIMEOUT``) is killed first.  Only the *failed
    contiguous ranges* are re-dispatched, with bounded retries and
@@ -106,6 +108,12 @@ injection for all of the above lives in :mod:`repro.engine.faults`
 stage: part ranges fan out over the same pool, each worker folds its
 range into picklable partial states, and the parent merges them in
 part order under the same supervision.
+
+**Profiles jobs** (:func:`resolve_profiles`, behind
+:meth:`~repro.engine.runner.Engine.prefetch`) use the same pool and
+supervisor for independent in-RAM distance passes: one job per
+(trace, layout) renders, maps and profiles in the worker and ships
+the finished profiles back in its done event.
 """
 
 from __future__ import annotations
@@ -117,8 +125,10 @@ import random
 import time
 import traceback
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
+from multiprocessing.reduction import ForkingPickler
 from queue import Empty
 
 import numpy as np
@@ -138,7 +148,8 @@ from .spec import layout_from_spec, order_from_spec
 PART_STRIDE = 100_000
 
 #: Render/fold ranges per worker: >1 so a fragment-heavy slice is
-#: rebalanced dynamically through the shared task queue, but low --
+#: rebalanced dynamically (the next range goes to whichever worker
+#: frees up first), but low --
 #: each range pays fixed dispatch/flush costs, and on the few-core
 #: hosts this targets the smoothing won from finer slices is smaller
 #: than that overhead.
@@ -482,7 +493,7 @@ def _bind_to_parent_lifetime() -> None:
     """Linux: ask the kernel to SIGTERM this worker when its parent
     dies (``PR_SET_PDEATHSIG``).  A parent killed without cleanup --
     SIGKILL, ``os._exit`` -- must not leave orphaned workers blocked
-    forever on the task queue; crash-resume replaces them on the next
+    forever on their task channel; crash-resume replaces them on the next
     run."""
     try:
         import ctypes
@@ -493,15 +504,16 @@ def _bind_to_parent_lifetime() -> None:
         pass  # non-Linux hosts: orphans idle until their queue closes
 
 
-def _worker_loop(tasks, events, heartbeats, block_credits, slot) -> None:
-    """Generic persistent worker: render and fold ranges until the
-    ``None`` sentinel.  A task failure is reported as an event and the
-    worker lives on; only a hard crash kills it.  The worker stamps
-    ``heartbeats[slot]`` at task pickup and per block/part so the
-    supervisor can tell wedged from slow."""
+def _worker_loop(channel, events, heartbeats, block_credits, slot) -> None:
+    """Generic persistent worker: render and fold ranges, or resolve
+    profiles jobs, from its own task ``channel`` until the ``None``
+    sentinel.  A task failure is reported as an event and the worker
+    lives on; only a hard crash kills it.  The worker stamps
+    ``heartbeats[slot]`` at task pickup and per block, part or profile
+    so the supervisor can tell wedged from slow."""
     _bind_to_parent_lifetime()
     while True:
-        task = tasks.get()
+        task = channel.get()
         if task is None:
             break
         kind, job = task
@@ -511,7 +523,7 @@ def _worker_loop(tasks, events, heartbeats, block_credits, slot) -> None:
             heartbeats[slot] = time.monotonic()
 
         events.put(("started", job.get("fold", 0), job.get("range", -1),
-                    job.get("attempt", 0), slot, os.getpid()))
+                    job.get("attempt", 0)))
         try:
             if kind == "render":
                 _worker_render(job, events, beat, block_credits)
@@ -519,6 +531,8 @@ def _worker_loop(tasks, events, heartbeats, block_credits, slot) -> None:
                 _worker_fold(job, events, beat)
             elif kind == "foldparts":
                 _worker_fold_parts(job, events, beat)
+            elif kind == "profiles":
+                _worker_profiles(job, events, beat)
             else:
                 raise RuntimeError(f"unknown stream task {kind!r}")
         except Exception:
@@ -527,8 +541,40 @@ def _worker_loop(tasks, events, heartbeats, block_credits, slot) -> None:
         beat()
 
 
+#: Per-worker engine serving ``profiles`` jobs (one per store root).
+#: It is trimmed after every job to the job's scene and placements: no
+#: render or address stream outlives its job.
+_ENGINES: dict = {}
+
+
+def _worker_profiles(job: dict, events, beat) -> None:
+    """Resolve one (trace, layout)'s profiles: render, map and run the
+    distance passes as the store requires, and ship the profiles back
+    in the done event.  The worker's store writes are best effort (a
+    read-only store demotes to a no-op); the parent memoizes what the
+    event carries."""
+    fault = faults.maybe_fault("profiles-job", job=job["range"])
+    if fault is not None:
+        _run_worker_fault(fault, None)
+    from .runner import Engine, _maybe_inject_warm_fault
+    _maybe_inject_warm_fault(job.get("warm_fault"))
+    engine = _ENGINES.get(job["root"])
+    if engine is None:
+        _ENGINES.clear()
+        engine = _ENGINES[job["root"]] = Engine(ArtifactStore(job["root"]))
+    try:
+        profiles = engine.resolve(job["trace_spec"], job["layout_spec"],
+                                  job["pairs"], kernel=job["kernel"],
+                                  beat=beat)
+    finally:
+        engine.trim(job["trace_spec"])
+    events.put(("profiles_done", job.get("fold", 0), job["range"],
+                job.get("attempt", 0), profiles))
+
+
 def _run_worker_fault(fault, store) -> None:
-    """Execute an armed render-block fault directive in the worker."""
+    """Execute an armed worker fault directive (``enospc`` needs the
+    worker's ``store``; the other actions ignore it)."""
     if fault.action == "kill-worker":
         os._exit(1)  # a hard crash: no cleanup, like the OOM killer
     elif fault.action == "wedge-worker":
@@ -661,26 +707,68 @@ _POOL_SEQ = itertools.count()
 _RESPAWNS_TOTAL = 0
 
 
+class _EventQueue:
+    """The workers' events to the parent: one pipe, written
+    synchronously under a lock, read only by the parent.
+
+    Unbounded like a ``multiprocessing.Queue`` (a bounded queue's slot
+    semaphore leaks when a worker dies between put and receipt; shm
+    backpressure lives in ``block_credits``), but without its
+    background feeder thread.  That thread takes the queue's write
+    lock after ``put()`` returns, so a worker that puts an event and
+    then dies (the ``kill-worker`` fault, ``os._exit``) could die
+    holding the lock, and no worker's event would ever reach the
+    parent again.  Here ``put()`` returns only once its bytes are in
+    the pipe, and the lock with them."""
+
+    def __init__(self, context):
+        self._reader, self._writer = context.Pipe(duplex=False)
+        self._lock = context.Lock()
+
+    def put(self, message) -> None:
+        data = ForkingPickler.dumps(message)
+        with self._lock:
+            self._writer.send_bytes(data)
+
+    def get(self, timeout: float):
+        """The next message; :class:`queue.Empty` after ``timeout``."""
+        if not self._reader.poll(timeout):
+            raise Empty
+        return self._reader.recv()
+
+    def drain(self) -> list:
+        """Close the queue and return what was left in it.  Closing
+        the parent's write end first lets a message that a killed
+        worker left half-written end in EOF instead of a hang (unless
+        another live process still holds a copy of that end)."""
+        self._writer.close()
+        left = []
+        try:
+            while self._reader.poll(0):
+                left.append(self._reader.recv())
+        except Exception:
+            pass
+        self._reader.close()
+        return left
+
+
 class StreamPool:
-    """A persistent pool of streaming workers plus the two queues that
-    connect them to the parent.  One pool serves every fold of every
-    row of an experiment grid; individual dead workers are respawned
-    in place (:meth:`respawn_dead`) and the pool is only rebuilt when
-    the worker count changes."""
+    """A persistent pool of streaming workers, one task channel per
+    worker and the shared event queue back to the parent.  One pool
+    serves every fold of every row of an experiment grid; individual
+    dead workers are respawned in place (:meth:`respawn_dead`) and the
+    pool is only rebuilt when the worker count changes.
+
+    Each worker reads only its own channel, and a respawn replaces the
+    channel with the worker.  A shared task queue would not survive a
+    worker killed while idle: that worker dies holding the queue's
+    read lock, and no other worker can ever take a task again."""
 
     def __init__(self, workers: int):
         import multiprocessing
         self.workers = int(workers)
         self._context = multiprocessing.get_context()
-        self.tasks = self._context.Queue()
-        # Unbounded on purpose: a bounded queue's slot semaphore is
-        # acquired at put() but only released when the parent receives
-        # the message, so a worker crashing between put() and its
-        # feeder thread's flush would leak the slot forever -- enough
-        # crashes and every future worker wedges inside put().  Block
-        # backpressure (the reason the queue used to be bounded) moved
-        # to ``block_credits``, which the parent can repair on death.
-        self.events = self._context.Queue()
+        self.events = _EventQueue(self._context)
         #: Shm-transport backpressure: workers take one credit per
         #: in-flight block (before packing its segment) and the parent
         #: returns it on receipt, capping in-flight segments -- and
@@ -692,7 +780,10 @@ class StreamPool:
             max(4, 2 * self.workers))
         #: Worker liveness stamps (``time.monotonic`` is system-wide on
         #: the platforms with fork, so parent and child clocks agree).
-        self.heartbeats = self._context.Array("d", self.workers)
+        #: Lock-free: a stamp is one aligned double, and a lock would be
+        #: one more thing a killed worker could die holding.
+        self.heartbeats = self._context.Array("d", self.workers,
+                                              lock=False)
         #: Monotonic per-pool fold counter: events carry the fold id
         #: they belong to, so a fold never consumes a predecessor's
         #: stragglers (a worker may outlive the fold that queued its
@@ -706,18 +797,30 @@ class StreamPool:
         #: unlinked on shutdown if a failure strands them.
         self.inflight_segments: set = set()
         self.processes = [None] * self.workers
+        self.channels = [None] * self.workers
         for slot in range(self.workers):
             self._spawn(slot)
 
     def _spawn(self, slot: int) -> None:
+        """Start ``slot``'s worker on a fresh task channel (a dead
+        worker's channel may be left locked or holding its task)."""
+        if self.channels[slot] is not None:
+            self.channels[slot].close()
+        channel = self.channels[slot] = self._context.SimpleQueue()
         self.heartbeats[slot] = time.monotonic()
         process = self._context.Process(
             target=_worker_loop,
-            args=(self.tasks, self.events, self.heartbeats,
+            args=(channel, self.events, self.heartbeats,
                   self.block_credits, slot),
             name=f"stream-worker-{slot}", daemon=True)
         process.start()
         self.processes[slot] = process
+
+    def send(self, slot: int, task) -> None:
+        """Hand ``task`` to ``slot``'s worker.  Its heartbeat restarts
+        now, so the job deadline counts from dispatch."""
+        self.heartbeats[slot] = time.monotonic()
+        self.channels[slot].put(task)
 
     def replenish_block_credit(self) -> None:
         """Return one shm block credit (on block receipt, or as
@@ -761,11 +864,9 @@ class StreamPool:
 
     def shutdown(self, force: bool = False) -> None:
         if not force:
-            for _ in self.processes:
-                try:
-                    self.tasks.put_nowait(None)
-                except Exception:
-                    break
+            for slot, process in enumerate(self.processes):
+                if process.is_alive():
+                    self.channels[slot].put(None)
             for process in self.processes:
                 process.join(timeout=5.0)
         for process in self.processes:
@@ -776,21 +877,13 @@ class StreamPool:
         # the pool's whole segment namespace: a forced shutdown can
         # strand segments that were packed but never queued (producer
         # killed mid-put) or received but never consumed.
-        while True:
-            try:
-                message = self.events.get_nowait()
-            except Exception:
-                break
+        for message in self.events.drain():
             if message and message[0] == "block":
                 _discard_segment(message[5])
         _purge_segments(self.shm_prefix, self.inflight_segments)
         self.inflight_segments.clear()
-        for channel in (self.tasks, self.events):
-            try:
-                channel.close()
-                channel.cancel_join_thread()
-            except Exception:
-                pass
+        for channel in self.channels:
+            channel.close()
 
 
 _POOL: StreamPool = None
@@ -864,22 +957,24 @@ atexit.register(shutdown_stream_pool)
 # -- parent-side supervision -----------------------------------------------
 
 class _Supervision:
-    """Parent-side supervisor for one pipelined fold: tracks which
-    worker owns which range (via ``started`` events), detects dead and
-    wedged workers, respawns them, and re-dispatches only the failed
-    ranges with bounded retries and exponential backoff.  A range that
+    """Parent-side supervisor for one pipelined fold: hands each idle
+    worker one range at a time (so it knows which worker owns which
+    range), detects dead and wedged workers, respawns them, and
+    re-dispatches only the failed ranges with bounded retries and
+    exponential backoff.  A range that
     exhausts the budget becomes *residual* -- recovered serially by
     the caller -- instead of failing the fold."""
 
     def __init__(self, pool: StreamPool, jobs: dict,
-                 report: StreamReport, label: str):
+                 report: StreamReport, label: str, retries=None,
+                 backoff_s=None):
         self.pool = pool
         self.report = report
         self.label = label
         self.jobs = dict(jobs)  # range index -> (task kind, job dict)
         self.attempt = {index: 0 for index in self.jobs}
         self.tries = {index: 0 for index in self.jobs}
-        self.dispatched_at: dict = {}
+        self.waiting: deque = deque()  # ranges queued for a free worker
         self.owner: dict = {}       # range index -> worker slot
         self.slot_range: dict = {}  # worker slot -> range index
         self.complete: set = set()
@@ -889,19 +984,39 @@ class _Supervision:
         self.on_retry = None        # transport hook: reset partial fold
         self.compensate_credits = False  # shm fold: repair leaked credits
         self.timeout = _job_timeout_s()
+        self.retries = STREAM_RETRIES if retries is None else retries
+        self.backoff_s = STREAM_BACKOFF_S if backoff_s is None else backoff_s
 
     # -- dispatch ---------------------------------------------------------
 
     def dispatch(self, index: int) -> None:
-        kind, job = self.jobs[index]
+        """Queue one attempt of ``index`` for the next free worker."""
         self.tries[index] += 1
-        self.dispatched_at[index] = time.monotonic()
-        self.pool.tasks.put((kind, dict(job, attempt=self.attempt[index],
-                                        fold=self.pool.fold_id)))
+        self.waiting.append(index)
 
     def dispatch_all(self) -> None:
         for index in self.jobs:
             self.dispatch(index)
+
+    def assign(self) -> None:
+        """Send waiting ranges to idle live workers, one per worker."""
+        pool = self.pool
+        for slot in range(pool.workers):
+            if not self.waiting:
+                return
+            if slot in self.slot_range \
+                    or not pool.processes[slot].is_alive():
+                continue
+            index = self.waiting.popleft()
+            while index in self.complete or index in self.residual:
+                if not self.waiting:
+                    return
+                index = self.waiting.popleft()
+            kind, job = self.jobs[index]
+            self.owner[index] = slot
+            self.slot_range[slot] = index
+            pool.send(slot, (kind, dict(job, attempt=self.attempt[index],
+                                        fold=pool.fold_id)))
 
     def flush_due(self) -> bool:
         """Dispatch retries whose backoff has elapsed (the event loop
@@ -924,22 +1039,16 @@ class _Supervision:
         """Whether an event belongs to the range's current attempt."""
         return self.attempt.get(index) == attempt
 
-    def note_started(self, index: int, attempt: int, slot: int) -> None:
-        if index in self.complete or index in self.residual \
-                or not self.current(index, attempt):
-            return
-        previous = self.owner.get(index)
-        if previous is not None:
-            self.slot_range.pop(previous, None)
-        self.owner[index] = slot
-        self.slot_range[slot] = index
+    def release(self, index: int) -> None:
+        """Free the worker that held ``index`` for the next range."""
+        slot = self.owner.pop(index, None)
+        if slot is not None:
+            self.slot_range.pop(slot, None)
 
     def note_complete(self, index: int) -> None:
         self.complete.add(index)
         self.residual.pop(index, None)  # a late success beats recovery
-        slot = self.owner.pop(index, None)
-        if slot is not None:
-            self.slot_range.pop(slot, None)
+        self.release(index)
         failed_at = self.first_failed_at.pop(index, None)
         if failed_at is not None:
             self.report.recovery_s += time.monotonic() - failed_at
@@ -950,20 +1059,18 @@ class _Supervision:
         if index in self.complete or index in self.residual \
                 or index not in self.jobs:
             return
-        slot = self.owner.pop(index, None)
-        if slot is not None:
-            self.slot_range.pop(slot, None)
+        self.release(index)
         self.attempt[index] += 1
         self.first_failed_at.setdefault(index, time.monotonic())
         self.report.note(f"{self.label} range {index}: {why}")
         if self.on_retry is not None:
             self.on_retry(index)
-        if self.tries[index] > STREAM_RETRIES:
+        if self.tries[index] > self.retries:
             self.residual[index] = why
             self.report.residual_ranges += 1
             return
         self.report.retried_ranges += 1
-        delay = STREAM_BACKOFF_S * (2 ** (self.tries[index] - 1))
+        delay = self.backoff_s * (2 ** (self.tries[index] - 1))
         delay *= 0.5 + random.random()  # jitter, as in the warm pool
         self.retry_at.append((time.monotonic() + delay, index))
 
@@ -976,35 +1083,10 @@ class _Supervision:
         acted = False
         pool = self.pool
         dead = pool.dead_slots()
-        unattributed = 0
         for slot in dead:
             index = self.slot_range.get(slot)
             if index is not None:
                 self.fail(index, f"worker died (slot {slot})")
-                acted = True
-            else:
-                unattributed += 1
-        if unattributed:
-            # A worker that crashes right after claiming a task usually
-            # kills its queue feeder thread before the "started" event
-            # flushes, so the death cannot be attributed to a range.
-            # Each dead worker held at most one task: fail the oldest
-            # in-flight unattributed ranges, one per death.  If the
-            # guess is wrong (the worker died idle, or the claim event
-            # is still in the queue), the duplicate dispatch is safe --
-            # stale attempts are filtered and duplicate part publishes
-            # are atomic replaces of identical bytes.
-            pending_retry = {index for _, index in self.retry_at}
-            candidates = sorted(
-                (index for index in self.jobs
-                 if index not in self.complete
-                 and index not in self.residual
-                 and index not in self.owner
-                 and index not in pending_retry),
-                key=lambda index: self.dispatched_at.get(index, 0.0))
-            for index in candidates[:unattributed]:
-                self.fail(index, "worker died before reporting its range")
-                acted = True
         if dead:
             if self.compensate_credits:
                 # A worker killed between taking a block credit and the
@@ -1015,9 +1097,9 @@ class _Supervision:
                 for _ in dead:
                     pool.replenish_block_credit()
             started = time.monotonic()
-            if pool.respawn_dead():
-                self.report.recovery_s += time.monotonic() - started
-                acted = True
+            pool.respawn_dead()
+            self.report.recovery_s += time.monotonic() - started
+            acted = True
         now = time.monotonic()
         for slot, index in list(self.slot_range.items()):
             if now - pool.heartbeats[slot] <= self.timeout:
@@ -1029,19 +1111,6 @@ class _Supervision:
                              f"for {self.timeout:.0f}s)")
             pool.respawn_dead()
             acted = True
-        # A task dispatched but never started past the deadline has
-        # fallen out of the queue (poisoned pickle, queue feeder died
-        # with the worker); re-dispatching a duplicate is safe -- a
-        # straggler's stale-attempt events are filtered, and duplicate
-        # part publishes are atomic replaces of identical bytes.
-        pending_retry = {index for _, index in self.retry_at}
-        for index in self.jobs:
-            if index in self.complete or index in self.residual \
-                    or index in self.owner or index in pending_retry:
-                continue
-            if now - self.dispatched_at.get(index, now) > self.timeout:
-                self.fail(index, "task lost (dispatched, never started)")
-                acted = True
         return acted
 
     def finished(self) -> bool:
@@ -1051,6 +1120,11 @@ class _Supervision:
 def _last_line(text: str) -> str:
     lines = str(text).strip().splitlines()
     return lines[-1] if lines else str(text)
+
+
+#: The events that end a worker's task (``error`` ends it too, and
+#: fails the range).
+_DONE_EVENTS = ("range_done", "fold_done", "profiles_done")
 
 
 def _receive(pool: StreamPool, supervisor: _Supervision, message,
@@ -1073,21 +1147,9 @@ def _receive(pool: StreamPool, supervisor: _Supervision, message,
             _discard_segment(descriptor)
         return False
     if kind == "started":
-        slot, pid = message[4], message[5]
-        process = pool.processes[slot] \
-            if 0 <= slot < len(pool.processes) else None
-        if process is None or process.pid != pid:
-            # The claim came from a previous incarnation of this slot:
-            # the claimer died (and was respawned) before its event was
-            # drained, so its range needs a retry *now* -- mapping it
-            # to the idle replacement would stall it until the job
-            # deadline.
-            if supervisor.current(index, attempt):
-                supervisor.fail(
-                    index, f"worker died at startup (slot {slot})")
-            return True
-        supervisor.note_started(index, attempt, slot)
         return True  # liveness: the range is in flight, not stalled
+    if kind in _DONE_EVENTS and supervisor.current(index, attempt):
+        supervisor.release(index)  # the worker is free for the next range
     if kind == "error":
         if index < 0:
             raise PipelineError(
@@ -1110,6 +1172,7 @@ def _drive(pool: StreamPool, supervisor: _Supervision, handle,
     while not supervisor.finished():
         if supervisor.flush_due():
             last_progress = time.monotonic()
+        supervisor.assign()
         try:
             message = pool.events.get(timeout=EVENT_POLL_S)
         except Empty:
@@ -1148,6 +1211,61 @@ def _maybe_kill_run(done_count: int) -> None:
 
 
 # -- parent-side drivers ---------------------------------------------------
+
+def resolve_profiles(root, tasks: list, workers: int, kernel: str, report,
+                     retries: int, backoff_s: float,
+                     warm_fault=None) -> tuple:
+    """Run one ``profiles`` job per ``(trace_spec, layout_spec,
+    pairs)`` task on the persistent pool, under the same supervision as
+    a fold: dead and wedged workers are respawned and their jobs
+    retried ``retries`` times with exponential backoff from
+    ``backoff_s``.
+
+    Returns ``(results, residual)``: task index -> the job's ``{pair:
+    profile}``, and task index -> last error for every task the pool
+    did not finish (retry budget spent, or the pool itself broke), for
+    the caller to resolve in-process.  Fills ``report`` (a
+    :class:`~repro.engine.runner.WarmReport`)'s attempts, retries and
+    respawns."""
+    jobs = {index: ("profiles", {
+        "range": index, "root": str(root), "trace_spec": trace_spec,
+        "layout_spec": tuple(layout_spec), "pairs": tuple(pairs),
+        "kernel": kernel, "warm_fault": warm_fault})
+        for index, (trace_spec, layout_spec, pairs) in enumerate(tasks)}
+    stream_report = StreamReport(folds=1)
+    results: dict = {}
+    supervisor = None
+    respawns_before = _RESPAWNS_TOTAL
+    try:
+        pool = get_pool(workers)
+        pool.fold_id += 1
+        supervisor = _Supervision(pool, jobs, stream_report, "profiles",
+                                  retries=retries, backoff_s=backoff_s)
+
+        def handle(kind, index, attempt, message):
+            if kind != "profiles_done":
+                raise PipelineError(
+                    f"unexpected {kind!r} event in a profiles batch")
+            if index in supervisor.complete:
+                return False  # a duplicate attempt finished too
+            results[index] = message[4]
+            supervisor.note_complete(index)
+            return True
+
+        supervisor.dispatch_all()
+        _drive(pool, supervisor, handle, what="profiles batch")
+        residual = dict(supervisor.residual)
+    except Exception as fault:
+        _break_pool()
+        why = f"{type(fault).__name__}: {fault}"
+        residual = {index: why for index in jobs if index not in results}
+    finally:
+        report.respawns += _RESPAWNS_TOTAL - respawns_before
+    if supervisor is not None:
+        report.attempts += sum(supervisor.tries.values())
+    report.retries += stream_report.retried_ranges
+    return results, residual
+
 
 def fold_pipelined(profiles, pairs) -> dict:
     """Compute every pair's :class:`PartialSetProfile` for

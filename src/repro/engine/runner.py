@@ -9,28 +9,29 @@ memos, then against the on-disk :class:`~repro.engine.artifacts.ArtifactStore`,
 so warm processes perform zero renders.
 
 :func:`run_experiment` executes a declarative
-:class:`~repro.engine.spec.ExperimentSpec` grid through one engine,
-optionally fanning the expensive render/trace stage out across
-``multiprocessing`` workers that warm the shared store in parallel.
+:class:`~repro.engine.spec.ExperimentSpec` grid through one engine.
+:meth:`Engine.prefetch` resolves a batch of (trace, layout) profile
+requests up front: store hits are memoized in this process, and each
+(trace, layout) with a miss renders, maps and runs its distance passes
+as one ``profiles`` job on the persistent
+:class:`~repro.engine.pipelined.StreamPool`.
 
 Fault tolerance
 ---------------
 Store misses compute under the store's per-fingerprint single-flight
 lock, so N racing processes produce one render per fingerprint.  The
-parallel warm-up submits tasks individually, captures worker
-exceptions, retries each failed task with exponential backoff and
-jitter, and finally falls back to in-process execution; the outcome is
-summarized in a :class:`WarmReport` on the :class:`ExperimentResult`
-instead of a first worker crash killing the whole run.  An unwritable
-store demotes itself (see :mod:`repro.engine.artifacts`) and the
-engine transparently continues on its in-memory memos.
+pool's supervisor detects dead and wedged workers, respawns them and
+retries only their jobs (:data:`WARM_RETRIES` times, with exponential
+backoff and jitter); a job that exhausts its retries runs in-process.
+The outcome is summarized in a :class:`WarmReport` instead of a first
+worker crash killing the whole run.  An unwritable store demotes
+itself (see :mod:`repro.engine.artifacts`) and the engine
+transparently continues on its in-memory memos.
 """
 
 from __future__ import annotations
 
 import os
-import random
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -56,13 +57,12 @@ from .spec import ExperimentSpec, TraceSpec, layout_from_spec, order_from_spec
 #: misses only).  Tests assert warm runs leave this untouched.
 RENDER_CALLS = 0
 
-#: Warm-pool fault policy: how many retry rounds a failed task gets in
-#: pool workers before falling back to in-process execution, the base
-#: backoff between rounds (doubled each round, with jitter), and how
-#: long one task may run before it is presumed hung and retried.
+#: Prefetch fault policy: how many times a failed ``profiles`` job is
+#: retried on the pool before it runs in-process, and the base backoff
+#: before a retry (doubled per retry, with jitter).  How long a job may
+#: go without a heartbeat is the pool's ``REPRO_STREAM_JOB_TIMEOUT``.
 WARM_RETRIES = 2
 WARM_BACKOFF_S = 0.25
-WARM_TIMEOUT_S = 600.0
 
 
 def render_calls() -> int:
@@ -109,75 +109,120 @@ class StoredTraceStreams(TraceStreams):
     def addresses(self, value):
         self._addresses = value
 
-    def prefetch(self, pairs) -> None:
+    def prefetch(self, pairs, beat=None) -> dict:
         """Resolve every ``(line_size, n_sets)`` profile a sweep grid
         will read, one store round-trip per *distinct* pair (memoized
         hits are free) -- the batched-serving mirror of
         :meth:`~repro.engine.streaming.StreamedProfiles.prefetch`.
         Misses compute lazily off the addresses, which materialize at
-        most once for the whole batch."""
-        for line_size, n_sets in sorted({(int(line), int(sets))
-                                         for line, sets in pairs}):
-            if n_sets == 1:
-                # What miss_rate_curve and set_profile(line, 1) both
-                # read; the per-set artifact derives from it for free.
-                self.profile(line_size)
-            else:
-                self.set_profile(line_size, n_sets)
+        most once for the whole batch.  Returns ``{pair: profile}``;
+        ``beat()``, if given, runs after each pair."""
+        resolved = {}
+        for pair in _distinct(pairs):
+            line_size, n_sets = pair
+            # n_sets == 1 is what miss_rate_curve and set_profile(line,
+            # 1) both read; the per-set artifact derives from it.
+            resolved[pair] = (self.profile(line_size) if n_sets == 1
+                              else self.set_profile(line_size, n_sets))
+            if beat is not None:
+                beat()
+        return resolved
+
+    def memoize_resident(self, pairs) -> list:
+        """Memoize every store-resident profile among ``pairs``;
+        return the (sorted) pairs the store does not hold.  Never
+        computes: this is the residency check that decides what a
+        batch dispatches."""
+        return [pair for pair in _distinct(pairs)
+                if self._load_resident(pair) is None]
+
+    def absorb(self, profiles: dict) -> None:
+        """Memoize ``{pair: profile}`` resolved elsewhere (a pool
+        worker's done event)."""
+        for pair, profile in profiles.items():
+            memo, key = self._memo(pair)
+            memo[key] = profile
 
     def _backed(self) -> bool:
         return self._store is not None and self._key_payload is not None
 
-    def _through_store(self, kind: str, payload: dict, load, save, compute):
-        """Load-or-compute one artifact with single-flight: re-check
-        the store under the lock so racing processes compute once."""
-        cached = load(payload)
+    def _memo(self, pair) -> tuple:
+        """``(memo dict, key)`` holding ``pair``'s profile.  ``n_sets ==
+        1`` is the fully associative profile, which ``set_profile(line,
+        1)`` derives from and which has no per-set artifact."""
+        line_size, n_sets = pair
+        if n_sets == 1:
+            return self._profiles, line_size
+        return self._set_profiles, pair
+
+    def _artifact(self, pair) -> tuple:
+        """``(kind, payload, load, save)`` of ``pair``'s store artifact."""
+        line_size, n_sets = pair
+        if n_sets == 1:
+            return ("profiles", profile_payload(self._key_payload, line_size),
+                    self._store.load_profile, self._store.save_profile)
+        return ("set_profiles",
+                set_profile_payload(self._key_payload, line_size, n_sets),
+                self._store.load_set_profile, self._store.save_set_profile)
+
+    def _load_resident(self, pair):
+        """``pair``'s memoized or store-resident profile (a store hit is
+        memoized), or None.  Never computes."""
+        memo, key = self._memo(pair)
+        if key not in memo:
+            _, payload, load, _ = self._artifact(pair)
+            cached = load(payload)
+            if cached is None:
+                return None
+            memo[key] = cached
+        return memo[key]
+
+    def _through_store(self, pair, compute):
+        """Load-or-compute ``pair``'s profile with single-flight:
+        re-check the store under the lock so racing processes compute
+        once."""
+        cached = self._load_resident(pair)
         if cached is not None:
             return cached
+        kind, payload, _, save = self._artifact(pair)
         with self._store.single_flight(kind, fingerprint(payload)):
-            cached = load(payload)
+            cached = self._load_resident(pair)
             if cached is None:
                 cached = compute()
                 save(payload, cached)
+                memo, key = self._memo(pair)
+                memo[key] = cached
         return cached
 
     def profile(self, line_size: int) -> DistanceProfile:
-        if line_size not in self._profiles:
-            if not self._backed():
-                return super().profile(line_size)
-            compute = super().profile
-            self._profiles[line_size] = self._through_store(
-                "profiles", profile_payload(self._key_payload, line_size),
-                self._store.load_profile, self._store.save_profile,
-                lambda: compute(line_size))
-        return self._profiles[line_size]
+        if not self._backed():
+            return super().profile(line_size)
+        compute = super().profile
+        return self._through_store((line_size, 1),
+                                   lambda: compute(line_size))
 
     def set_profile(self, line_size: int, n_sets: int) -> SetDistanceProfile:
-        key = (line_size, n_sets)
-        if key not in self._set_profiles:
-            if n_sets == 1 or not self._backed():
-                # One set derives from the (store-backed) profile; it
-                # has no artifact of its own.
-                return super().set_profile(line_size, n_sets)
-            compute = super().set_profile
-            self._set_profiles[key] = self._through_store(
-                "set_profiles",
-                set_profile_payload(self._key_payload, line_size, n_sets),
-                self._store.load_set_profile, self._store.save_set_profile,
-                lambda: compute(line_size, n_sets))
-        return self._set_profiles[key]
+        if n_sets == 1 or not self._backed():
+            # One set derives from the (store-backed) profile; it has no
+            # artifact of its own.
+            return super().set_profile(line_size, n_sets)
+        compute = super().set_profile
+        return self._through_store((line_size, n_sets),
+                                   lambda: compute(line_size, n_sets))
 
 
 @dataclass
 class WarmReport:
     """Outcome of one parallel store-warming phase.
 
-    ``attempts`` counts every task submission to the worker pool,
-    ``retries`` the resubmissions after a failure, ``fallbacks`` the
-    tasks that only succeeded in-process after exhausting pool retries,
-    and ``errors`` the (task label, error) pairs that failed everywhere
-    -- those cells will recompute (and surface any real error) during
-    in-process assembly.
+    ``tasks`` counts the ``profiles`` jobs a batch dispatched (one per
+    (trace, layout) with a store miss), ``attempts`` every submission
+    to the worker pool, ``retries`` the resubmissions after a failure,
+    ``respawns`` the workers the supervisor replaced, ``fallbacks``
+    the tasks that only succeeded in-process after exhausting pool
+    retries, and ``errors`` the (task label, error) pairs that failed
+    everywhere -- those cells will recompute (and surface any real
+    error) during in-process assembly.
     """
 
     tasks: int = 0
@@ -185,6 +230,7 @@ class WarmReport:
     retries: int = 0
     fallbacks: int = 0
     errors: tuple = ()
+    respawns: int = 0
 
     @property
     def ok(self) -> bool:
@@ -263,6 +309,21 @@ class Engine:
     def trace(self, spec: TraceSpec):
         return self.render(spec).trace
 
+    def trim(self, keep: TraceSpec) -> None:
+        """Drop every memo except ``keep``'s scene and its placements --
+        what a long-lived pool worker holds between jobs: the scene
+        build is the costly part, and the next job may render the same
+        scene again (another order, or another layout)."""
+        scene = (keep.scene, keep.scale, keep.time)
+        self._scenes = {key: value for key, value in self._scenes.items()
+                        if key == scene}
+        self._placements = {key: value
+                            for key, value in self._placements.items()
+                            if key[:3] == scene}
+        self._renders.clear()
+        self._streams.clear()
+        self._streamed.clear()
+
     # -- placements and address streams ----------------------------------
 
     def placements(self, scene: str, scale: float, layout_spec,
@@ -331,6 +392,88 @@ class Engine:
                 stream_workers=int(stream_workers))
         return self._streamed[key]
 
+    # -- batched profile resolution --------------------------------------
+
+    def resolve(self, trace_spec: TraceSpec, layout_spec, pairs,
+                kernel: str = "vectorized", beat=None) -> dict:
+        """Resolve (trace, layout)'s ``pairs`` in this process, through
+        the store, and return ``{pair: profile}``.  The reference kernel
+        replays the address stream and reads no profile, so for it only
+        the render and the addresses are resolved (and ``{}``
+        returned)."""
+        if kernel != "vectorized":
+            self.addresses(trace_spec, layout_spec)
+            return {}
+        return self.streams(trace_spec, layout_spec).prefetch(pairs,
+                                                              beat=beat)
+
+    def prefetch(self, requests, workers: Optional[int] = None,
+                 kernel: str = "vectorized") -> WarmReport:
+        """Resolve a batch of profile requests up front, in parallel.
+
+        ``requests`` are ``(trace_spec, layout_spec, pairs)`` tuples,
+        ``pairs`` the ``(line_size, n_sets)`` profiles a sweep over that
+        (trace, layout) will read.  Store-resident profiles are loaded
+        and memoized here; each (trace, layout) with a miss becomes one
+        ``profiles`` job on the persistent
+        :class:`~repro.engine.pipelined.StreamPool`, whose worker
+        renders, maps and runs the distance passes and ships the
+        profiles back to be memoized.  A fully warm batch starts no
+        pool.  Failed jobs are retried under the pool's supervisor and,
+        past :data:`WARM_RETRIES`, run in-process (see
+        :class:`WarmReport`).
+
+        ``workers`` defaults to the cores this process may run on; with
+        fewer than two the jobs run in-process.  With
+        ``kernel="reference"`` only renders and addresses are resolved
+        (see :meth:`resolve`)."""
+        check_kernel(kernel)
+        grouped: dict = {}
+        for trace_spec, layout_spec, pairs in requests:
+            grouped.setdefault((trace_spec, tuple(layout_spec)),
+                               set()).update(_distinct(pairs))
+        tasks = []
+        for (trace_spec, layout_spec), pairs in grouped.items():
+            if kernel == "vectorized":
+                missing = self.streams(trace_spec, layout_spec) \
+                    .memoize_resident(pairs)
+                if missing:
+                    tasks.append((trace_spec, layout_spec, tuple(missing)))
+            elif self.store.load_addresses(
+                    addresses_payload(trace_spec, layout_spec)) is None:
+                tasks.append((trace_spec, layout_spec, ()))
+        report = WarmReport(tasks=len(tasks))
+        if not tasks:
+            return report
+        if workers is None:
+            workers = _usable_cores()
+        if workers < 2:
+            for trace_spec, layout_spec, pairs in tasks:
+                self.resolve(trace_spec, layout_spec, pairs, kernel)
+            return report
+        from . import pipelined
+        results, residual = pipelined.resolve_profiles(
+            self.store.root, tasks, workers, kernel, report,
+            retries=WARM_RETRIES, backoff_s=WARM_BACKOFF_S,
+            warm_fault=os.environ.get("REPRO_FAULT_WARM"))
+        for index, profiles in results.items():
+            trace_spec, layout_spec, _ = tasks[index]
+            self.streams(trace_spec, layout_spec).absorb(profiles)
+        errors = []
+        for index, pool_error in sorted(residual.items()):
+            trace_spec, layout_spec, pairs = tasks[index]
+            try:
+                _maybe_inject_warm_fault(os.environ.get("REPRO_FAULT_WARM"))
+                self.resolve(trace_spec, layout_spec, pairs, kernel)
+            except Exception as fault:
+                errors.append((_task_label(trace_spec, layout_spec),
+                               f"{type(fault).__name__}: {fault} "
+                               f"(pool: {pool_error})"))
+            else:
+                report.fallbacks += 1
+        report.errors = tuple(errors)
+        return report
+
     # -- experiment execution --------------------------------------------
 
     def run(self, experiment: ExperimentSpec, workers: int = 0,
@@ -339,12 +482,12 @@ class Engine:
             audit_parts: int = 0) -> "ExperimentResult":
         """Execute every cell of ``experiment``.
 
-        ``workers > 1`` warms the store's render/address/profile
-        artifacts with a multiprocessing pool first (one task per
-        scene/order/layout), then assembles results from the warm
-        store in this process; worker failures are retried and fall
-        back in-process (see :class:`WarmReport`) rather than aborting
-        the run.  ``kernel`` selects the LRU simulation path: the
+        ``workers > 1`` first resolves the grid's profiles (or, for
+        the reference kernel, its renders and addresses) on that many
+        pool workers through :meth:`prefetch`, then assembles results
+        in this process; worker failures are retried and fall back
+        in-process (see :class:`WarmReport`) rather than aborting the
+        run.  ``kernel`` selects the LRU simulation path: the
         default reads every finite associativity off a store-backed
         per-set distance profile; ``"reference"`` runs the sequential
         :class:`~repro.core.cache.LRUCache` simulator.
@@ -384,8 +527,12 @@ class Engine:
                 "audit_parts spot-audits the streaming fold; enable "
                 "streaming (chunk_size/shards/stream_workers) to use it")
         warm_report = None
+        pairs = _profile_pairs(experiment)
         if workers and workers > 1:
-            warm_report = self._warm_parallel(experiment, workers)
+            warm_report = self.prefetch(
+                [(trace_spec, layout_spec, pairs) for trace_spec, layout_spec
+                 in experiment.stream_specs()],
+                workers=workers, kernel=kernel)
             self.last_warm_report = warm_report
         rows = []
         audit_reports = []
@@ -403,19 +550,20 @@ class Engine:
                     streams.stream_report = None
                     # One pass over the blocks computes the whole
                     # grid's profiles (instead of one pass per pair).
-                    streams.prefetch(_profile_pairs(experiment))
+                    streams.prefetch(pairs)
                     if getattr(streams, "stream_report", None) is not None:
                         stream_reports.append(streams.stream_report)
                     if audit_parts:
                         audit_reports.append(streams.audit(
-                            _profile_pairs(experiment),
-                            parts=audit_parts))
+                            pairs, parts=audit_parts))
                 else:
                     streams = self.streams(trace_spec, layout_spec)
-                    # Batched grid serving: one store round-trip per
-                    # distinct (line_size, n_sets) pair up front, not
-                    # one tier walk per grid cell during assembly.
-                    streams.prefetch(_profile_pairs(experiment))
+                    if kernel == "vectorized":
+                        # Batched grid serving: one store round-trip per
+                        # distinct (line_size, n_sets) pair up front, not
+                        # one tier walk per grid cell during assembly.
+                        # (The reference oracle reads no profile.)
+                        streams.prefetch(pairs)
                 for line_size in experiment.line_sizes:
                     for assoc in experiment.assocs:
                         rows.extend(self._sweep_sizes(
@@ -445,59 +593,6 @@ class Engine:
                            kernel=kernel))
             for size in sorted(cache_sizes)]
 
-    def _warm_parallel(self, experiment: ExperimentSpec,
-                       workers: int) -> WarmReport:
-        """Warm the store in pool workers, absorbing worker failures.
-
-        Each task is submitted individually; failures are retried for
-        :data:`WARM_RETRIES` rounds with exponential backoff + jitter
-        (a fresh pool per round, so even a wedged pool cannot take the
-        run down), then fall back to in-process execution.  Tasks that
-        fail everywhere are recorded in the report and recomputed --
-        surfacing their real error -- during assembly.
-        """
-        import multiprocessing
-
-        pairs = tuple(sorted(_profile_pairs(experiment)))
-        tasks = [(str(self.store.root), trace_spec, tuple(layout_spec),
-                  pairs)
-                 for trace_spec, layout_spec in experiment.stream_specs()]
-        report = WarmReport(tasks=len(tasks))
-        pending = tasks
-        failures = []
-        for round_index in range(WARM_RETRIES + 1):
-            if not pending:
-                break
-            if round_index:
-                report.retries += len(pending)
-                delay = WARM_BACKOFF_S * (2 ** (round_index - 1))
-                time.sleep(delay * (0.5 + random.random()))
-            failures = []
-            with multiprocessing.Pool(
-                    processes=min(workers, len(pending))) as pool:
-                handles = [(task, pool.apply_async(_warm_task, (task,)))
-                           for task in pending]
-                for task, handle in handles:
-                    report.attempts += 1
-                    try:
-                        handle.get(timeout=WARM_TIMEOUT_S)
-                    except Exception as fault:
-                        failures.append(
-                            (task, f"{type(fault).__name__}: {fault}"))
-            pending = [task for task, _ in failures]
-        errors = []
-        for task, pool_error in failures:
-            try:
-                _warm_task(task)
-            except Exception as fault:
-                errors.append((_task_label(task),
-                               f"{type(fault).__name__}: {fault} "
-                               f"(pool: {pool_error})"))
-            else:
-                report.fallbacks += 1
-        report.errors = tuple(errors)
-        return report
-
 
 def _profile_pairs(experiment: ExperimentSpec) -> set:
     """Every ``(line_size, n_sets)`` profile the grid's vectorized
@@ -514,21 +609,35 @@ def _profile_pairs(experiment: ExperimentSpec) -> set:
     return pairs
 
 
-def _task_label(task) -> str:
-    _, trace_spec, layout_spec, _ = task
+def _usable_cores() -> int:
+    """The cores this process may run on (its CPU affinity, where the
+    platform reports one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _distinct(pairs) -> list:
+    """``(line_size, n_sets)`` pairs as sorted, distinct int tuples."""
+    return sorted({(int(line), int(sets)) for line, sets in pairs})
+
+
+def _task_label(trace_spec, layout_spec) -> str:
     return f"{trace_spec.scene}/{'-'.join(map(str, trace_spec.order))}" \
            f"/{'-'.join(map(str, layout_spec))}"
 
 
-def _maybe_inject_warm_fault() -> None:
-    """Fault-injection hook for the warm pool (used by tests/CI only).
+def _maybe_inject_warm_fault(spec) -> None:
+    """Fault-injection hook for prefetch jobs (used by tests/CI only);
+    ``spec`` is the value of ``REPRO_FAULT_WARM`` in the dispatching
+    process, which travels with each job.
 
     ``REPRO_FAULT_WARM=once:<path>`` makes exactly one task raise (the
     first to atomically create ``<path>``), exercising the retry path;
     ``REPRO_FAULT_WARM=workers`` makes every task raise inside pool
     workers while in-process fallback execution succeeds.
     """
-    spec = os.environ.get("REPRO_FAULT_WARM")
     if not spec:
         return
     if spec == "workers":
@@ -543,20 +652,6 @@ def _maybe_inject_warm_fault() -> None:
         except FileExistsError:
             return
         raise RuntimeError("injected one-shot warm-pool fault")
-
-
-def _warm_task(task) -> None:
-    """Worker: populate the shared store for one (trace, layout) pair.
-
-    Warms the *whole grid's* profile pairs (fully associative and
-    per-set), so assembly in the parent is a pure tier read.  Both the
-    addresses and the scene resolve lazily: a task whose profiles are
-    all store-resident verifies a few envelopes and exits without
-    building SceneData or reading the trace."""
-    _maybe_inject_warm_fault()
-    root, trace_spec, layout_spec, pairs = task
-    engine = Engine(store=ArtifactStore(root))
-    engine.streams(trace_spec, layout_spec).prefetch(pairs)
 
 
 @dataclass(frozen=True)

@@ -183,6 +183,25 @@ class TestExperimentRunner:
         for row, expected in zip(result.rows, serial.rows):
             assert row.stats.miss_rate == expected.stats.miss_rate
 
+    def test_reference_kernel_runs_no_distance_pass(self, tmp_path):
+        # The reference simulator replays the address stream, so neither
+        # the parallel warm phase nor assembly may leave a profile.
+        experiment = ExperimentSpec(
+            scenes=("goblet",), orders=(("horizontal",),),
+            layouts=(("blocked", 4),), cache_sizes=(1024, 4096),
+            line_sizes=(32,), assocs=(2,), scale=0.1)
+        result = run_experiment(experiment, store=ArtifactStore(tmp_path),
+                                workers=2, kernel="reference")
+        assert len(result.rows) == 2
+        assert result.warm_report.tasks == 1 and result.warm_report.ok
+        for kind in ("profiles", "set_profiles"):
+            assert not list((tmp_path / kind).glob("*.npz")), kind
+        assert list((tmp_path / "addresses").glob("*.npy"))
+        vectorized = run_experiment(experiment,
+                                    store=ArtifactStore(tmp_path / "vec"))
+        assert [row.stats for row in result.rows] == \
+            [row.stats for row in vectorized.rows]
+
 
 class TestSpecValidation:
     def test_unknown_scene_rejected(self):

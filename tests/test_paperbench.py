@@ -89,3 +89,52 @@ class TestSceneBank:
     def test_addresses_nonempty(self, bank):
         streams = bank.streams("goblet", ("horizontal",), ("nonblocked",))
         assert streams.stream(32).total_accesses > 0
+
+
+#: The harnesses that read stored profiles through SceneBank.evaluate.
+PROFILE_HARNESSES = ("bench_fig_5_2", "bench_fig_5_4", "bench_fig_5_5",
+                     "bench_fig_5_6", "bench_fig_5_7", "bench_fig_6_2",
+                     "bench_fig_6_4", "bench_table_7_1")
+
+
+def test_harness_queries_declare_every_profile_they_read(tmp_path,
+                                                         monkeypatch):
+    """Each profile harness's queries name every profile they read, so
+    a cold ``measure()`` runs all its distance passes inside the
+    prefetch (on the pool) and none afterwards in this process."""
+    import importlib
+
+    from repro.core import kernels, stackdist
+    from repro.engine import ArtifactStore, Engine
+
+    prefetching = []
+    late_passes = []
+    original_prefetch = Engine.prefetch
+
+    def prefetch(self, *args, **kwargs):
+        prefetching.append(True)
+        try:
+            return original_prefetch(self, *args, **kwargs)
+        finally:
+            prefetching.pop()
+
+    def counted(owner, attribute):
+        original = getattr(owner, attribute)
+
+        def wrapper(*args, **kwargs):
+            if not prefetching:
+                late_passes.append(attribute)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attribute, wrapper)
+
+    monkeypatch.setattr(Engine, "prefetch", prefetch)
+    for attribute in ("set_distance_histogram", "per_set_distances",
+                      "previous_occurrences"):
+        counted(kernels, attribute)
+    counted(stackdist, "stack_distances")
+
+    bank = SceneBank(scale=0.05, store=ArtifactStore(tmp_path / "store"))
+    for name in PROFILE_HARNESSES:
+        importlib.import_module(name).measure(bank)
+        assert late_passes == [], name

@@ -203,6 +203,19 @@ class TestFallbacks:
                 exp, chunk_size=4096, stream_workers=2)
         assert rows(ram) == rows(piped)
 
+    def test_more_workers_than_cores_bit_identical(self, tmp_path):
+        # Four workers (more than a small host has cores) finish their
+        # ranges concurrently and write their states, each larger than
+        # one atomic pipe write, to the one event pipe: every message
+        # must arrive whole.
+        exp = ExperimentSpec(**GRID)
+        ram = Engine(store=ArtifactStore(tmp_path / "a")).run(exp)
+        with no_fallback_warning():
+            piped = Engine(store=ArtifactStore(tmp_path / "b")).run(
+                exp, chunk_size=1024, stream_workers=4)
+        assert rows(ram) == rows(piped)
+        assert piped.stream_report is None or piped.stream_report.clean
+
     def test_shm_transport_bit_identical(self, tmp_path, monkeypatch):
         # Forcing the shared-memory transport keeps the parent-side
         # fold over shm block descriptors covered; no fallback fires.

@@ -18,6 +18,7 @@ import contextlib
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -34,6 +35,8 @@ from repro.engine import pipelined
 from repro.engine.pipelined import shutdown_stream_pool
 
 from tests import fault_injection as injection
+from tests.test_engine_prefetch import (REQUESTS, assert_same_profiles,
+                                        resolved)
 
 SCENE = "town"
 SCALE = 0.05
@@ -227,6 +230,35 @@ class TestWorkerFaults:
         assert scan["clean"] and scan["bad"] == 0
 
 
+class TestProfilesJobFaults:
+    def test_worker_killed_mid_job_retries_only_that_job(self, tmp_path):
+        serial = Engine(store=ArtifactStore(tmp_path / "serial"))
+        serial.prefetch(REQUESTS, workers=1)
+        engine = Engine(store=ArtifactStore(tmp_path / "pool"))
+        with injection.fault_plan("kill-worker:job=1,scope=once",
+                                  tmp_path / "plan"):
+            with no_fallback_warning():
+                report = engine.prefetch(REQUESTS, workers=2)
+        assert (tmp_path / "plan" / "fault-0-kill-worker.fired").exists()
+        assert report.respawns == 1
+        assert report.retries == 1
+        assert report.attempts == len(REQUESTS) + 1
+        assert report.fallbacks == 0 and report.ok
+        assert_same_profiles(resolved(engine), resolved(serial))
+        scan = ArtifactStore(tmp_path / "pool").verify()
+        assert scan["clean"] and scan["bad"] == 0
+
+    def test_plan_directives_pick_their_injection_point(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT_PLAN",
+                           "kill-worker:job=1; wedge-worker:range=0,block=0")
+        hit = chaos.maybe_fault("profiles-job", job=1)
+        assert hit is not None and hit.action == "kill-worker"
+        assert chaos.maybe_fault("profiles-job", job=0) is None
+        assert chaos.maybe_fault("render-block", range=1, block=0) is None
+        assert chaos.maybe_fault("render-block", range=0,
+                                 block=0).action == "wedge-worker"
+
+
 class TestCrashResume:
     def assert_resumed(self, tmp_path, reference, store_root):
         """A second run over the crashed store must resume from the
@@ -310,6 +342,41 @@ class TestPoolHygiene:
         assert again.alive()
         assert again.processes[0].pid != victim.pid
         assert again.respawns >= 1
+
+    @staticmethod
+    def kill_idle_workers():
+        """Start a pool and SIGTERM every worker while it idles in its
+        task channel's ``get()`` (which, on a shared queue, would leave
+        the queue's read lock held by a dead process)."""
+        pool = pipelined.get_pool(2)
+        time.sleep(0.5)
+        for process in pool.processes:
+            process.terminate()
+            process.join(5)
+
+    def test_idle_worker_deaths_cost_no_prefetch_job(self, tmp_path,
+                                                     monkeypatch):
+        serial = Engine(store=ArtifactStore(tmp_path / "serial"))
+        serial.prefetch(REQUESTS, workers=1)
+        self.kill_idle_workers()
+        monkeypatch.setenv("REPRO_STREAM_JOB_TIMEOUT", "5")
+        engine = Engine(store=ArtifactStore(tmp_path / "pool"))
+        report = engine.prefetch(REQUESTS, workers=2)
+        assert report.respawns == 2
+        assert report.retries == 0 and report.fallbacks == 0 and report.ok
+        assert_same_profiles(resolved(engine), resolved(serial))
+
+    def test_idle_worker_deaths_cost_no_fold_range(self, tmp_path,
+                                                   monkeypatch):
+        reference = ram_rows(tmp_path)
+        self.kill_idle_workers()
+        monkeypatch.setenv("REPRO_STREAM_JOB_TIMEOUT", "5")
+        with no_fallback_warning():
+            result = piped_run(tmp_path / "piped")
+        assert rows(result) == reference
+        report = result.stream_report
+        assert report.respawns == 2
+        assert report.retried_ranges == 0 and report.residual_ranges == 0
 
     def test_get_pool_rebuilds_on_worker_count_change(self):
         pool = pipelined.get_pool(2)
