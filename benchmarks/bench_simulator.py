@@ -20,6 +20,9 @@ speedup}``.
 Run directly (``python benchmarks/bench_simulator.py``) or through the
 benchmark suite; ``--smoke`` runs a reduced grid, skips the JSON and
 just checks equivalence (CI runs it at tiny scale on 3.9 and 3.12).
+The smoke also fails unless some fully-associative stream it verifies
+is longer than one fold block (:data:`repro.core.kernels._FOLD_RUNS`),
+so the equivalence check always covers the cross-block merge.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from paperbench import SceneBank, kb, paper_order_spec, scaled_cache  # noqa: E402
 
 from repro.core import CacheConfig, simulate  # noqa: E402
+from repro.core.kernels import _FOLD_RUNS  # noqa: E402
 from repro.core.sweep import TraceStreams  # noqa: E402
 from repro.engine import StoredTraceStreams, TraceSpec, addresses_payload  # noqa: E402
 
@@ -157,7 +161,16 @@ def main(argv=None) -> int:
                f"{report['config']['ms_after_cold']:.1f} ms)")
     print(summary)
     if args.smoke:
-        print("smoke OK: vectorized == reference on the reduced grid")
+        longest = max(scene["run_accesses"]
+                      for scene in report["config"]["per_scene"].values())
+        if longest <= _FOLD_RUNS:
+            raise AssertionError(
+                f"longest verified stream has {longest} runs, within one "
+                f"{_FOLD_RUNS}-run fold block: the cross-block merge "
+                f"went unchecked")
+        print(f"smoke OK: vectorized == reference on the reduced grid "
+              f"(longest fully-associative stream {longest} runs, "
+              f"{-(-longest // _FOLD_RUNS)} fold blocks)")
         return 0
     RESULT_PATH.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {RESULT_PATH}")

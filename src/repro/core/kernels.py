@@ -38,6 +38,22 @@ subsequences: every position in an earlier set's block trivially
 satisfies the dominance condition, and each line address maps to
 exactly one set, so one global pass computes all per-set distances.
 
+**Blocked fold.**  Histograms (:func:`set_distance_histogram`) run
+the dominance count over one block at a time.  A stream longer than
+:data:`_FOLD_RUNS` runs is cut into blocks of that many; each block
+becomes a :class:`PartialSetProfile` and the blocks are combined by
+its exact, associative :meth:`~PartialSetProfile.merge` -- the same
+fold the streamed pipeline runs over trace blocks, so in-RAM and
+streamed profiles share one kernel.  Texture streams revisit a few
+thousand distinct lines, so the merge states stay small while each
+block's dominance count runs on the narrow int32 packing (below
+``2**15`` positions) over cache-resident arrays, instead of ~14
+full-length int64 levels.  For ``n_sets > 1`` the block fold runs
+over the set-partitioned, MRU-collapsed residue as one
+fully-associative stream (exact by the identity above).  Per-access
+distances (:func:`stack_distances`, :func:`per_set_distances`) keep
+the direct pass.
+
 The kernels are exact (bit-identical miss / cold / capacity / conflict
 counts versus the reference); :mod:`repro.core.cache` keeps the
 sequential implementation selectable via ``kernel="reference"`` and
@@ -103,11 +119,17 @@ def previous_occurrences(lines: np.ndarray) -> np.ndarray:
 
 #: Pairs closer than this many position bits are resolved by one
 #: batched all-pairs comparison instead of per-level partitioning.
-#: Wider blocks win single-threaded (fewer partition levels) but the
-#: ``n * 2**bits`` bytes of boolean temporaries lose under concurrent
-#: folds on bandwidth-bound hosts, so the width stays at 32.
+#: A wider bottom means fewer partition levels but ``n * 2**bits``
+#: bytes of boolean temporaries.  Histograms run this kernel on fold
+#: blocks of :data:`_FOLD_RUNS` positions, whose temporaries (512 KB at
+#: width 32) stay cache-resident rather than streaming through memory;
+#: on those blocks widths 16 and 64 were both slower than 32.
 _BOTTOM_BITS = 5
-_POS_MASK = (1 << 32) - 1
+
+#: Streams shorter than ``2**_NARROW_BITS`` positions pack
+#: ``count << 15 | position`` into int32 instead of
+#: ``count << 32 | position`` into int64.
+_NARROW_BITS = 15
 
 
 def dominance_counts(prev: np.ndarray) -> np.ndarray:
@@ -128,13 +150,18 @@ def dominance_counts(prev: np.ndarray) -> np.ndarray:
     Constant-factor engineering: positions are a permutation of
     ``[0, n)``, so every block is a fixed ``2**(t+1)``-wide position
     range and block starts/offsets are index arithmetic (no bincount,
-    no gathers); each element packs ``accumulated_count << 32 |
-    position`` into one int64 so the per-level count update is
+    no gathers); each element packs ``accumulated_count << shift |
+    position`` into one integer so the per-level count update is
     branch-free arithmetic and the only random memory access per level
     is the partition scatter itself; the last ``_BOTTOM_BITS`` levels
     (pairs within 32-position blocks, by then contiguous and
     value-sorted) collapse into a single batched 32x32 triangular
-    comparison.  Requires ``n < 2**31``.
+    comparison.  The pack width follows ``n``: below ``2**15``
+    positions (every block of :func:`set_distance_histogram`'s fold)
+    both count and position fit 15 bits, so the packing is
+    ``count << 15`` in int32 and each level moves half the bytes;
+    longer streams pack ``count << 32`` in int64.  Requires
+    ``n < 2**31``.
     """
     prev = np.asarray(prev, dtype=np.int64)
     n = len(prev)
@@ -143,9 +170,14 @@ def dominance_counts(prev: np.ndarray) -> np.ndarray:
         return counts
     if n >= 1 << 31:
         raise ValueError("dominance_counts supports up to 2**31-1 accesses")
-    # P packs (accumulated count << 32) | position, value-sorted.
-    P = _argsort_bounded(prev + 1, n + 1).astype(np.int64, copy=False)
-    ks = np.arange(n, dtype=np.int64)
+    if n < 1 << _NARROW_BITS:
+        dtype, shift = np.int32, _NARROW_BITS
+    else:
+        dtype, shift = np.int64, 32
+    mask = (1 << shift) - 1
+    # P packs (accumulated count << shift) | position, value-sorted.
+    P = _argsort_bounded(prev + 1, n + 1).astype(dtype, copy=False)
+    ks = np.arange(n, dtype=dtype)
     buffer = np.empty_like(P)
     bottom = 1 << _BOTTOM_BITS
     level = (n - 1).bit_length() - 1
@@ -155,9 +187,9 @@ def dominance_counts(prev: np.ndarray) -> np.ndarray:
         bit = (P >> level) & 1          # 1 = right half of its block
         # Stable rank among left-half elements, rebased per block: one
         # cumsum, everything else index arithmetic.
-        left_rank = ks - np.cumsum(bit) + bit
+        left_rank = ks - np.cumsum(bit, dtype=dtype) + bit
         left_rank -= np.repeat(left_rank[::width], width)[:n]
-        P += (bit * left_rank) << 32    # lefts dominating each right
+        P += (bit * left_rank) << shift  # lefts dominating each right
         # Lefts keep their rank at the block start; rights go after the
         # block's ``half`` lefts.  (A block too short to hold ``half``
         # lefts holds no rights at all, so the scalar is always right.)
@@ -172,15 +204,16 @@ def dominance_counts(prev: np.ndarray) -> np.ndarray:
     # 32-position block, contiguous and value-sorted, so stable array
     # order encodes ``prev[j] <= prev[i]`` and a strict position
     # comparison over the lower triangle counts exactly the pairs not
-    # yet counted above.  Padding positions sort after every real one.
+    # yet counted above.  Padding positions sort after every real one
+    # (and, 2**15 being a multiple of 32, still fit the narrow mask).
     padded = -(-n // bottom) * bottom
     if padded != n:
-        P = np.concatenate([P, np.arange(n, padded, dtype=np.int64)])
-    pos = (P & _POS_MASK).astype(np.int32).reshape(-1, bottom)
+        P = np.concatenate([P, np.arange(n, padded, dtype=dtype)])
+    pos = (P & mask).astype(np.int32).reshape(-1, bottom)
     within = (pos[:, None, :] < pos[:, :, None])
     within &= np.tri(bottom, k=-1, dtype=bool)
     within = within.sum(axis=2, dtype=np.int64).ravel()[:n]
-    counts[P[:n] & _POS_MASK] = (P[:n] >> 32) + within
+    counts[P[:n] & mask] = (P[:n] >> shift) + within
     return counts
 
 
@@ -235,6 +268,15 @@ def _partitioned_prev(run_lines: np.ndarray, n_sets: int,
     return out
 
 
+#: Runs per fold block of :func:`set_distance_histogram`.  Every
+#: block's dominance count then runs on the narrow int32 packing over
+#: cache-resident arrays, and the cross-block work is the exact
+#: :meth:`PartialSetProfile.merge` over states bounded by the number
+#: of distinct lines.  2**14 was the fastest of 2**12..2**16 on a
+#: 2-vCPU host.
+_FOLD_RUNS = 1 << 14
+
+
 def set_distance_histogram(run_lines: np.ndarray, n_sets: int,
                            prev: np.ndarray = None) -> tuple:
     """``(counts, cold)`` for the per-set stack distances of a
@@ -253,32 +295,65 @@ def set_distance_histogram(run_lines: np.ndarray, n_sets: int,
     paper scenes), so the n-log-n dominance core runs over a small
     residue instead of the full stream.
 
+    Blocked fold: a residue longer than :data:`_FOLD_RUNS` is folded
+    block by block through :meth:`PartialSetProfile.merge`, treated as
+    ONE fully-associative stream -- by the ``F - prev`` identity its
+    fully-associative distances are the per-set ones, since every
+    earlier set's position dominates trivially.  The streams touch a
+    few thousand distinct lines, so the merges stay small and the
+    dominance count never sees more than one block.  (Folding the raw
+    per-set stream instead would carry ``n_sets`` stacks through every
+    merge and pay the MRU repeats the collapse removed.)
+
     ``prev`` optionally supplies :func:`previous_occurrences` of the
     *unpartitioned* stream so grid sweeps (many ``n_sets``, one
     stream) pay for that argsort once.
     """
     run_lines = np.asarray(run_lines, dtype=np.int64)
     if n_sets <= 1:
-        if prev is None:
-            prev = previous_occurrences(run_lines)
-        seq_prev = prev
+        seq = run_lines
+        seq_prev = previous_occurrences(run_lines) if prev is None else prev
         mru_hits = 0
     else:
         partitioned = run_lines[_partition_order(run_lines, n_sets)]
-        reduced, mru_hits = collapse_consecutive(partitioned)
-        seq_prev = previous_occurrences(reduced)
-    warm = seq_prev >= 0
-    distances = dominance_counts(seq_prev)[warm] - seq_prev[warm]
-    if len(distances) or mru_hits:
+        seq, mru_hits = collapse_consecutive(partitioned)
+        seq_prev = previous_occurrences(seq)
+    if len(seq) > _FOLD_RUNS:
+        counts, repeats = _folded_histogram(seq, seq_prev)
+        mru_hits += repeats
+    else:
+        warm = seq_prev >= 0
+        counts = np.bincount(dominance_counts(seq_prev)[warm]
+                             - seq_prev[warm])
+    if counts.sum() or mru_hits:
         # The residue never holds adjacent equal lines, so its warm
         # distances are all >= 2 and folding the collapsed distance-1
         # hits back in reproduces the unreduced histogram exactly.
-        counts = np.bincount(distances, minlength=2)
+        counts = np.pad(counts, (0, max(0, 2 - len(counts))))
         counts[1] += mru_hits
     else:
         counts = np.zeros(1, dtype=np.int64)
-    cold = len(run_lines) - int(warm.sum()) - int(mru_hits)
+    cold = int(np.count_nonzero(seq_prev < 0))
     return counts.astype(np.int64, copy=False), cold
+
+
+def _folded_histogram(seq: np.ndarray, seq_prev: np.ndarray) -> tuple:
+    """``(counts, repeats)``: the fully-associative distance histogram
+    of ``seq`` folded over :data:`_FOLD_RUNS`-run blocks.  A block's
+    previous occurrences are the stream's, rebased to the block start
+    (an earlier occurrence outside the block is an open first touch),
+    so no block sorts again.  ``repeats`` is the number of block
+    boundaries the merge credited as collapsed duplicates: distance-1
+    accesses of ``seq`` that the caller adds back to bin 1."""
+    state = PartialSetProfile.empty(1, 1)
+    for lo in range(0, len(seq), _FOLD_RUNS):
+        block = seq[lo:lo + _FOLD_RUNS]
+        block_prev = seq_prev[lo:lo + _FOLD_RUNS] - lo
+        block_prev[block_prev < 0] = -1
+        state = state.merge(PartialSetProfile.from_runs(
+            block, block_prev, 0, len(block), 1, 1))
+    profile = state.finalize()
+    return profile.counts, profile.duplicate_hits
 
 
 def per_set_distances(run_lines: np.ndarray, n_sets: int,

@@ -10,6 +10,7 @@ from repro.core.cache import (
     CacheConfig,
     LineStream,
     _simulate_runs,
+    collapse_consecutive,
     simulate,
     simulate_sequence,
 )
@@ -96,6 +97,19 @@ class TestDominanceCounts:
         # prev == -1 everywhere: every earlier j dominates.
         np.testing.assert_array_equal(dominance_counts(prev), np.arange(50))
 
+    @pytest.mark.parametrize("n", [(1 << 15) - 1, 1 << 15, (1 << 15) + 1])
+    def test_pack_width_boundary(self, n):
+        # Below 2**15 positions the kernel packs int32, from 2**15 on
+        # int64; both must match the counts the Fenwick reference
+        # implies: F = distance + prev when warm, and the number of
+        # earlier first touches when cold.
+        lines = random_lines(n, n=n, universe=n // 4)
+        prev = naive_previous(lines)
+        distances = fenwick_stack_distances(lines)
+        cold = distances == COLD
+        expected = np.where(cold, np.cumsum(cold) - cold, distances + prev)
+        np.testing.assert_array_equal(dominance_counts(prev), expected)
+
 
 class TestStackDistances:
     @pytest.mark.parametrize("seed", range(15))
@@ -135,6 +149,80 @@ class TestSetPartition:
             direct = previous_occurrences(set_partition(lines, n_sets))
             derived = kernels._partitioned_prev(lines, n_sets, prev)
             np.testing.assert_array_equal(derived, direct)
+
+
+FOLD = kernels._FOLD_RUNS
+
+
+def _residue(lines, n_sets):
+    """The set-partitioned, collapsed stream the histogram folds."""
+    return collapse_consecutive(set_partition(lines, n_sets))[0]
+
+
+def _stream_over_residue(residue, n_sets, seed):
+    """A collapsed run stream whose residue is exactly ``residue``
+    (set-grouped, no adjacent equals): each line is repeated 1-3 times
+    (MRU repeats within its set) and the per-set subsequences are
+    interleaved at random."""
+    rng = np.random.default_rng(seed)
+    repeated = np.repeat(residue, rng.integers(1, 4, size=len(residue)))
+    sets = repeated % n_sets
+    stream = np.empty_like(repeated)
+    stream[np.argsort(rng.permutation(sets), kind="stable")] = repeated
+    return collapse_consecutive(stream)[0]
+
+
+def _fenwick_histogram(run_lines, n_sets):
+    residue = _residue(run_lines, n_sets)
+    distances = fenwick_stack_distances(residue)
+    warm = distances[distances != COLD]
+    mru_hits = len(run_lines) - len(residue)
+    if len(warm) == 0 and mru_hits == 0:
+        return np.zeros(1, dtype=np.int64), len(distances)
+    counts = np.bincount(warm, minlength=2)
+    counts[1] += mru_hits
+    return counts, len(distances) - len(warm)
+
+
+class TestBlockedFold:
+    """``set_distance_histogram`` folds residues longer than one block
+    through ``PartialSetProfile.merge``; it must equal the Fenwick
+    reference over the partitioned, collapsed stream on both sides of
+    every block boundary."""
+
+    def _check(self, residue, n_sets, seed=0):
+        assert np.array_equal(_residue(residue, n_sets), residue)
+        run_lines = _stream_over_residue(residue, n_sets, seed)
+        np.testing.assert_array_equal(_residue(run_lines, n_sets), residue)
+        counts, cold = set_distance_histogram(run_lines, n_sets)
+        expected, expected_cold = _fenwick_histogram(run_lines, n_sets)
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, expected)
+        assert cold == expected_cold
+
+    @pytest.mark.parametrize("n_sets", [1, 2, 8, 64])
+    @pytest.mark.parametrize("length", [FOLD - 1, FOLD, FOLD + 1,
+                                        3 * FOLD + 7])
+    def test_all_cold(self, length, n_sets):
+        residue = set_partition(np.arange(length, dtype=np.int64) * 3,
+                                n_sets)
+        self._check(residue, n_sets)
+
+    @pytest.mark.parametrize("n_sets", [1, 2, 8, 64])
+    @pytest.mark.parametrize("length", [FOLD - 1, FOLD, FOLD + 1,
+                                        3 * FOLD + 7])
+    def test_working_set_wider_than_a_block(self, length, n_sets):
+        lines = random_lines(length, n=2 * length, universe=2 * FOLD)
+        residue = _residue(lines, n_sets)[:length]
+        assert len(residue) == length
+        self._check(residue, n_sets, seed=length)
+
+    @pytest.mark.parametrize("n_sets", [1, 2, 8, 64])
+    def test_residue_ends_on_a_block_boundary(self, n_sets):
+        lines = random_lines(n_sets, n=3 * FOLD, universe=FOLD // 2)
+        residue = _residue(lines, n_sets)[:2 * FOLD]
+        assert len(residue) == 2 * FOLD
+        self._check(residue, n_sets, seed=n_sets)
 
 
 class TestSetDistanceProfile:
