@@ -19,10 +19,12 @@ Two harnesses share this file:
   classifications) before its timing counts.  ``--smoke`` gates the
   equivalence plus a fixed peak-RSS budget at the current
   ``REPRO_SCALE`` (the CI configuration) for both the serial streamed
-  fold and the pipelined fold (``stream_workers=2``); the full run
-  sweeps chunk sizes plus the sharded (``shards=2``) and pipelined
-  modes across scales 0.25/0.5/1.0 on all four scenes and records
-  fragments/s and peak RSS in ``BENCH_streaming.json``.
+  fold and the pipelined fold (``stream_workers=2``), and fails a
+  pipelined row that fell back to the serial fold (an injected worker
+  kill must cost a range retry, not the pool); the full run sweeps
+  chunk sizes plus the pipelined mode across scales 0.25/0.5/1.0 on
+  all four scenes and records fragments/s, peak RSS and the pipelined
+  rows' respawns and fallbacks in ``BENCH_streaming.json``.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ def _stream_configs(scale: float) -> list:
 
 
 def _run_pipeline(scene: str, scale: float, mode: str, chunk_size: int,
-                  shards: int, stream_workers: int = 0) -> dict:
+                  stream_workers: int = 0) -> dict:
     """One cold pipeline (render -> profiles -> curve -> 3C) in this
     process; returns everything the parent compares and records."""
     import resource
@@ -153,9 +155,9 @@ def _run_pipeline(scene: str, scale: float, mode: str, chunk_size: int,
     spec = TraceSpec(scene=scene, scale=scale, order=paper_order_spec(scene))
     engine = Engine()
     start = time.perf_counter()
-    if mode in ("streamed", "sharded", "pipelined"):
+    streaming = mode in ("streamed", "pipelined")
+    if streaming:
         streams = engine.streamed(spec, STREAM_LAYOUT, chunk_size=chunk_size,
-                                  shards=shards,
                                   stream_workers=stream_workers)
         # Fold every profile the row needs in one pass over the blocks
         # (classify set profiles + the fully-associative curve/3C
@@ -187,13 +189,11 @@ def _run_pipeline(scene: str, scale: float, mode: str, chunk_size: int,
         shutdown_stream_pool()
     maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     children_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    streaming = mode in ("streamed", "sharded", "pipelined")
-    return {
+    row = {
         "scene": scene,
         "scale": scale,
         "mode": mode,
         "chunk_size": chunk_size if streaming else None,
-        "shards": shards if streaming else 0,
         "stream_workers": stream_workers if streaming else 0,
         "n_accesses": int(classify[0].accesses),
         "n_fragments": int(n_fragments),
@@ -201,18 +201,23 @@ def _run_pipeline(scene: str, scale: float, mode: str, chunk_size: int,
         "fragments_per_s": round(n_fragments / max(elapsed, 1e-9)),
         "maxrss_mb": round(maxrss_kb / 1024, 1),
         # Largest single-process peak among forked children (stream
-        # pool workers, shard folders); 0 when none ran.
+        # pool workers); 0 when none ran.
         "maxrss_children_mb": round(children_kb / 1024, 1),
         "miss_rates": [float(rate) for rate in curve.miss_rates],
         "classify": [[stats.misses, stats.cold_misses,
                       stats.capacity_misses, stats.conflict_misses]
                      for stats in classify],
     }
+    if mode == "pipelined":
+        # None when no fold ran through the pool at all.
+        report = streams.stream_report
+        row["respawns"] = report.respawns if report else None
+        row["fallbacks"] = report.fallbacks if report else None
+    return row
 
 
 def _spawn_worker(scene: str, scale: float, mode: str,
-                  chunk_size: int = 0, shards: int = 0,
-                  stream_workers: int = 0) -> dict:
+                  chunk_size: int = 0, stream_workers: int = 0) -> dict:
     """Run one measurement in a fresh subprocess over a fresh cold
     store, so ``ru_maxrss`` (a per-process high-water mark) is that
     pipeline's own peak and no run warms another."""
@@ -224,7 +229,7 @@ def _spawn_worker(scene: str, scale: float, mode: str,
         result = subprocess.run(
             [sys.executable, __file__, "--worker", "--scene", scene,
              "--scale-value", repr(scale), "--mode", mode,
-             "--chunk", str(chunk_size), "--shards", str(shards),
+             "--chunk", str(chunk_size),
              "--stream-workers", str(stream_workers)],
             env=env, capture_output=True, text=True)
     if result.returncode != 0:
@@ -235,7 +240,7 @@ def _spawn_worker(scene: str, scale: float, mode: str,
 
 def _assert_identical(baseline: dict, candidate: dict) -> None:
     label = (f"{candidate['scene']}@{candidate['scale']} "
-             f"chunk={candidate['chunk_size']} shards={candidate['shards']}")
+             f"{candidate['mode']} chunk={candidate['chunk_size']}")
     if candidate["miss_rates"] != baseline["miss_rates"]:
         raise AssertionError(f"{label}: miss-rate curve diverges from in-RAM")
     if candidate["classify"] != baseline["classify"]:
@@ -244,10 +249,19 @@ def _assert_identical(baseline: dict, candidate: dict) -> None:
         raise AssertionError(f"{label}: access count diverges from in-RAM")
 
 
+def _assert_pooled(row: dict) -> None:
+    """A pipelined row must have folded on the pool: a silent serial
+    fallback gives the same numbers, so only its report shows it."""
+    if row["fallbacks"] != 0:
+        raise AssertionError(
+            f"{row['scene']}@{row['scale']}: pipelined fold fell back to "
+            f"the serial path (fallbacks={row['fallbacks']})")
+
+
 def streaming_smoke() -> int:
     """CI gate: streamed and pipelined == in-RAM bit for bit on every
     scene at the current ``REPRO_SCALE``, under the fixed peak-RSS
-    budget."""
+    budget, with no pipelined row fallen back to the serial fold."""
     for scene in STREAM_SCENES:
         baseline = _spawn_worker(scene, SCALE, "ram")
         streamed = _spawn_worker(scene, SCALE, "streamed",
@@ -256,6 +270,7 @@ def streaming_smoke() -> int:
         piped = _spawn_worker(scene, SCALE, "pipelined",
                               chunk_size=CHUNK_SIZES[0], stream_workers=2)
         _assert_identical(baseline, piped)
+        _assert_pooled(piped)
         for row in (streamed, piped):
             peak = max(row["maxrss_mb"], row["maxrss_children_mb"])
             if peak > SMOKE_RSS_BUDGET_MB:
@@ -265,7 +280,8 @@ def streaming_smoke() -> int:
         print(f"{scene}: streamed + pipelined == in-RAM (curve + 3C), "
               f"peaks {streamed['maxrss_mb']}/{piped['maxrss_mb']} MB "
               f"(in-RAM {baseline['maxrss_mb']} MB, "
-              f"budget {SMOKE_RSS_BUDGET_MB} MB)")
+              f"budget {SMOKE_RSS_BUDGET_MB} MB), pipelined "
+              f"{piped['respawns']} respawn(s), 0 fallbacks")
     print(f"smoke OK: bit-identical streamed and pipelined pipelines on "
           f"{len(STREAM_SCENES)} scenes at scale {SCALE}")
     return 0
@@ -290,16 +306,15 @@ def measure_streaming() -> dict:
                       f"{streamed['elapsed_s']:7.1f} s  "
                       f"{streamed['maxrss_mb']:7.1f} MB  "
                       f"{streamed['fragments_per_s']:>9,} frag/s")
-            for mode, kwargs in (("sharded", dict(shards=2)),
-                                 ("pipelined", dict(stream_workers=2))):
-                row = _spawn_worker(scene, scale, mode,
-                                    chunk_size=CHUNK_SIZES[0], **kwargs)
-                _assert_identical(baseline, row)
-                rows.append(row)
-                print(f"{scene:8s} scale {scale:4}  {mode:9s} "
-                      f"{row['elapsed_s']:7.1f} s  "
-                      f"{row['maxrss_mb']:7.1f} MB  "
-                      f"{row['fragments_per_s']:>9,} frag/s")
+            row = _spawn_worker(scene, scale, "pipelined",
+                                chunk_size=CHUNK_SIZES[0], stream_workers=2)
+            _assert_identical(baseline, row)
+            _assert_pooled(row)
+            rows.append(row)
+            print(f"{scene:8s} scale {scale:4}  pipelined "
+                  f"{row['elapsed_s']:7.1f} s  "
+                  f"{row['maxrss_mb']:7.1f} MB  "
+                  f"{row['fragments_per_s']:>9,} frag/s")
     streaming_rows = [row for row in rows if row["mode"] != "ram"]
     ram_rows = [row for row in rows if row["mode"] == "ram"]
     return {
@@ -310,7 +325,6 @@ def measure_streaming() -> dict:
             "chunk_sizes": list(CHUNK_SIZES),
             "layout": list(STREAM_LAYOUT),
             "line_size": STREAM_LINE_SIZE,
-            "shards": 2,
             "stream_workers": 2,
             "equivalence": "bit-identical miss-rate curves and 3C "
                            "classifications vs the in-RAM pipeline, "
@@ -340,15 +354,13 @@ def main(argv=None) -> int:
     parser.add_argument("--scale-value", default=None, help=argparse.SUPPRESS)
     parser.add_argument("--mode", default="ram", help=argparse.SUPPRESS)
     parser.add_argument("--chunk", type=int, default=0, help=argparse.SUPPRESS)
-    parser.add_argument("--shards", type=int, default=0,
-                        help=argparse.SUPPRESS)
     parser.add_argument("--stream-workers", type=int, default=0,
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     if args.worker:
         row = _run_pipeline(args.scene, float(args.scale_value), args.mode,
-                            args.chunk, args.shards, args.stream_workers)
+                            args.chunk, args.stream_workers)
         print(json.dumps(row))
         return 0
     if args.smoke:

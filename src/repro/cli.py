@@ -108,16 +108,14 @@ def _add_streaming_arguments(parser):
                              "many texel accesses: bit-identical results at "
                              "peak memory bounded by the chunk, independent "
                              "of trace length")
-    parser.add_argument("--shards", type=int, default=0,
-                        help="fan the streaming profile fold across this "
-                             "many processes (implies streaming)")
     parser.add_argument("--stream-workers", type=int, default=0,
                         help="pipeline the streaming fold: partition cold "
-                             "renders across this many persistent worker "
-                             "processes and fold blocks as they arrive over "
-                             "shared memory (implies streaming; >= 2 to "
-                             "engage, falls back to the serial streamed "
-                             "path on any pipeline failure)")
+                             "renders (or a stored trace's parts) across "
+                             "this many persistent worker processes, each "
+                             "folding the blocks it renders (implies "
+                             "streaming; >= 2 to engage, falls back to the "
+                             "serial streamed path on any pipeline "
+                             "failure)")
     parser.add_argument("--audit-parts", type=int, default=0,
                         metavar="N",
                         help="spot-audit N sampled parts of every streamed "
@@ -127,7 +125,6 @@ def _add_streaming_arguments(parser):
 
 def _streaming_requested(args) -> bool:
     return bool(getattr(args, "chunk_size", None)) or \
-        getattr(args, "shards", 0) > 0 or \
         getattr(args, "stream_workers", 0) > 0
 
 
@@ -219,13 +216,12 @@ def _simulate(args) -> int:
                          None if args.assoc == 0 else args.assoc)
     if _streaming_requested(args):
         if args.kernel != "vectorized":
-            print("error: --chunk-size/--shards/--stream-workers require "
+            print("error: --chunk-size/--stream-workers require "
                   "--kernel vectorized", file=sys.stderr)
             return 2
         from .engine import classify_streamed
         streams = engine.streamed(spec, layout_spec,
                                   chunk_size=args.chunk_size,
-                                  shards=args.shards,
                                   stream_workers=args.stream_workers)
         stats = classify_streamed(streams, config)
         if args.audit_parts:
@@ -237,7 +233,7 @@ def _simulate(args) -> int:
                   f"{report.accesses:,} accesses checked -- OK")
     elif args.audit_parts:
         print("error: --audit-parts requires streaming "
-              "(--chunk-size/--shards/--stream-workers)", file=sys.stderr)
+              "(--chunk-size/--stream-workers)", file=sys.stderr)
         return 2
     else:
         stats = classify_misses(engine.streams(spec, layout_spec), config,
@@ -269,15 +265,15 @@ def _sweep(args) -> int:
                 max_anisotropy=args.aniso, lod_bias=args.lod_bias,
                 use_mipmaps=not args.no_mipmaps)
     if _streaming_requested(args) and args.kernel != "vectorized":
-        print("error: --chunk-size/--shards/--stream-workers require "
+        print("error: --chunk-size/--stream-workers require "
               "--kernel vectorized", file=sys.stderr)
         return 2
     if args.audit_parts and not _streaming_requested(args):
         print("error: --audit-parts requires streaming "
-              "(--chunk-size/--shards/--stream-workers)", file=sys.stderr)
+              "(--chunk-size/--stream-workers)", file=sys.stderr)
         return 2
     run_kwargs = dict(kernel=args.kernel, chunk_size=args.chunk_size,
-                      shards=args.shards, stream_workers=args.stream_workers,
+                      stream_workers=args.stream_workers,
                       audit_parts=args.audit_parts)
 
     if args.axis == "cache":

@@ -1424,35 +1424,6 @@ class ChunkedRenderReader:
         self._root = store.root
         self.meta = meta
         self.parts = meta["parts"]
-        self._pending_digest = None
-
-    @classmethod
-    def pending(cls, store: ArtifactStore,
-                spec: TraceSpec) -> "ChunkedRenderReader":
-        """A reader over a chunked trace that is still being written:
-        there is no sidecar yet, so parts are readiness-polled
-        (:meth:`poll_part`) as their producers publish them.  Totals
-        are unknown until the producers report; only per-part access
-        is meaningful on a pending reader."""
-        reader = cls(store, {"parts": [], "n_accesses": 0,
-                             "n_fragments": 0, "key": spec.payload()})
-        reader._pending_digest = fingerprint(spec.payload())
-        return reader
-
-    def poll_part(self, part_index: int):
-        """The part at absolute index ``part_index`` if its producer
-        has already published it, else ``None`` -- the readiness
-        protocol for folding a trace while it is still being written.
-        Parts are committed with an atomic rename, so existence implies
-        completeness; no lock, size or digest handshake is needed."""
-        if self._pending_digest is None:
-            raise StoreError("poll_part needs a pending() reader")
-        name = (f"{self._pending_digest}"
-                f".p{int(part_index):0{traceio.PART_DIGITS}d}.npz")
-        path = self._root / "traces" / name
-        if not path.exists():
-            return None
-        return self._load_block(name, int(part_index))
 
     @property
     def n_parts(self) -> int:
@@ -1475,10 +1446,7 @@ class ChunkedRenderReader:
         return int(self.meta["n_triangles_rasterized"])
 
     def read_part(self, index: int) -> FragmentBlock:
-        return self._load_block(self.parts[index]["name"], index)
-
-    def _load_block(self, name: str, index: int) -> FragmentBlock:
-        return load_part_block(self._root, name, index)
+        return load_part_block(self._root, self.parts[index]["name"], index)
 
     def __iter__(self):
         for index in range(self.n_parts):

@@ -8,7 +8,6 @@ list of directives::
     kill-worker:range=1,block=2,scope=once
     kill-worker:job=1,scope=once
     wedge-worker:range=0,block=1,seconds=3600
-    drop-shm:range=0,block=1,scope=once
     enospc:range=1,block=0,scope=once
     kill-run:after=1,mode=raise
 
@@ -37,10 +36,6 @@ Actions
     The worker sleeps ``seconds`` (default forever, by supervision
     standards) without producing events -- a livelocked worker whose
     heartbeat goes stale.
-``drop-shm``
-    The just-packed shared-memory segment is unlinked before its
-    descriptor ships -- the consumer's mapping fails like a reaped
-    ``/dev/shm`` entry.
 ``enospc``
     The worker's store demotes as if the disk filled mid-part; the
     range finishes incomplete and must be retried on a fresh store.
@@ -63,7 +58,6 @@ ACTION_POINTS = {
     "kill-worker": ("render-block", "profiles-job"),
     "wedge-worker": ("render-block", "profiles-job"),
     "enospc": ("render-block",),
-    "drop-shm": ("ship-block",),
     "kill-run": ("range-complete",),
 }
 

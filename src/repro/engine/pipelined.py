@@ -14,8 +14,7 @@ processes, with bit-identical results::
     workers, retry failed           persist each part, fold it into
     ranges with backoff             the range's per-pair states
     collect range states   <-----   event queue (per-range partial
-    merge in range order            states; or raw blocks over shared
-                                    memory / part-file polling)
+    merge in range order            states)
     renumber + publish     <-----   per-range part envelopes
     sidecar (all ranges
     complete, or nothing)
@@ -30,23 +29,10 @@ associative-exact :meth:`~repro.core.kernels.PartialSetProfile.merge`
 over per-range states in range order reproduces the serial fold bit
 for bit (merge is *not* commutative -- order is load-bearing).
 
-**Block transport.**  Three ways rendered blocks reach the fold,
-selected by ``REPRO_STREAM_TRANSPORT`` (see :func:`_resolve_transport`
-for the tradeoff).  ``state`` (default): each worker folds the blocks
-it renders immediately after persisting them and ships only tiny
-per-range partial states -- both heavy stages parallelize across the
-whole pool and no bulk data crosses a process boundary.  ``shm``: the
-parent folds; workers ship each block's columns through one
-``multiprocessing.shared_memory`` segment per block (a small
-descriptor crosses the queue; the arrays do not get pickled), and the
-bounded event queue applies backpressure so in-flight segments -- and
-therefore peak RSS -- stay capped at a few blocks.  ``store``: the
-parent folds by readiness-polling the part files workers publish
-atomically (:meth:`~repro.engine.artifacts.ChunkedRenderReader.
-poll_part`) -- no shared memory needed, and the single-machine
-prototype of a cross-machine fold.  Forcing ``shm`` on a host without
-shared memory degrades to the serial fold, with a warning, via
-:class:`PipelineError`.
+**Worker-side fold.**  Each worker folds the blocks it renders right
+after persisting them and ships only its range's per-pair partial
+states, so render and fold both parallelize across the whole pool and
+no block crosses a process boundary.
 
 **Persistence.**  Each worker writes its slice's parts through its
 own ``part_base``-offset :class:`~repro.engine.artifacts.
@@ -88,10 +74,10 @@ ArtifactStore.save_stream_plan` / ``save_range_record``): the range
 plan written at dispatch and one completion record per finished
 range, listing its part envelopes.  The next cold fold of the same
 spec verifies the surviving parts against those envelopes, folds the
-verified ranges *warm* (``foldparts`` jobs), re-renders only the
-missing ranges under the original plan geometry, then renumbers and
-publishes as usual -- bit-identical to an uninterrupted run, and
-identical under ``REPRO_STREAM_TRANSPORT=store``.
+verified ranges *warm* (``fold`` jobs over the named parts),
+re-renders only the missing ranges under the original plan geometry,
+then renumbers and publishes as usual -- bit-identical to an
+uninterrupted run.
 
 **Observability.**  Every fold accounts its recovery actions in a
 :class:`StreamReport` (the pipelined analog of
@@ -119,7 +105,6 @@ the finished profiles back in its done event.
 from __future__ import annotations
 
 import atexit
-import itertools
 import os
 import random
 import time
@@ -127,7 +112,6 @@ import traceback
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 from multiprocessing.reduction import ForkingPickler
 from queue import Empty
 
@@ -136,12 +120,11 @@ import numpy as np
 from ..core.kernels import PartialSetProfile
 from ..pipeline import traceio
 from ..pipeline.renderer import render_trace_blocks
-from ..pipeline.trace import FragmentBlock
 from ..texture.memory import place_textures
 from . import faults
-from .artifacts import (ArtifactStore, ChunkedRenderReader, fingerprint,
-                        load_part_block)
+from .artifacts import ArtifactStore, fingerprint, load_part_block
 from .spec import layout_from_spec, order_from_spec
+from .streaming import _build_scene, _fold_block_into
 
 #: Part-index stride between ranges; the parent renumbers densely, so
 #: this only needs to exceed any single range's block count.
@@ -155,8 +138,7 @@ PART_STRIDE = 100_000
 #: than that overhead.
 RANGES_PER_WORKER = 2
 
-#: Event-queue poll interval; also paces store-transport readiness
-#: polling.
+#: Event-queue poll interval.
 EVENT_POLL_S = 0.05
 
 #: How often the supervisor polls worker liveness and heartbeats.
@@ -275,173 +257,6 @@ def _report_of(profiles) -> StreamReport:
     return report
 
 
-def _shm_module():
-    """``multiprocessing.shared_memory``, or ``None`` when the host
-    lacks it (or tests inject ``REPRO_FAULT_SHM=unavailable``)."""
-    if os.environ.get("REPRO_FAULT_SHM") == "unavailable":
-        return None
-    try:
-        from multiprocessing import shared_memory
-    except ImportError:
-        return None
-    return shared_memory
-
-
-def _resolve_transport(store: ArtifactStore) -> str:
-    """Which way rendered blocks reach the fold.
-
-    ``state`` (default): each worker folds the blocks it renders and
-    ships only per-range partial states -- both heavy stages
-    parallelize, nothing bulk crosses a process boundary, but every
-    worker holds its own fold state for all pairs.  ``shm``: workers
-    ship raw blocks through shared memory and the parent folds --
-    workers stay fold-state-free (one copy of the states total),
-    costing a dedicated folding core.  ``store``: like ``shm`` but the
-    parent readiness-polls the part files instead (no shared memory
-    needed; the cross-machine fold protocol)."""
-    forced = os.environ.get("REPRO_STREAM_TRANSPORT", "").strip().lower()
-    transport = forced or "state"
-    if transport == "store":
-        if not store.available:
-            raise PipelineError(
-                "store block transport needs a writable store")
-        return "store"
-    if transport == "shm":
-        if _shm_module() is None:
-            raise PipelineError(
-                "multiprocessing.shared_memory is unavailable "
-                "(set REPRO_STREAM_TRANSPORT=store to pipeline through "
-                "part files instead)")
-        return "shm"
-    if transport != "state":
-        raise PipelineError(
-            f"unknown REPRO_STREAM_TRANSPORT {forced!r}")
-    return "state"
-
-
-# -- shared-memory block transport ----------------------------------------
-
-#: Column order is part of the descriptor contract.
-_BLOCK_COLUMNS = ("texture_id", "level", "tu", "tv",
-                  "tu_raw", "tv_raw", "kind", "x", "y")
-
-
-def _pack_block(shared_memory, block, name=None) -> dict:
-    """Copy one block's columns into a fresh shared-memory segment;
-    returns the descriptor the consumer rebuilds views from.  The
-    producer disowns the segment (the consumer unlinks after
-    folding), so exactly one process ever frees it.  ``name`` scopes
-    the segment to the pool's unique prefix so a forced shutdown can
-    sweep stragglers by glob."""
-    arrays = {}
-    for column in _BLOCK_COLUMNS:
-        data = getattr(block, column)
-        if data is not None:
-            arrays[column] = np.ascontiguousarray(data)
-    columns = {}
-    offset = 0
-    for column, data in arrays.items():
-        columns[column] = (str(data.dtype), tuple(data.shape), offset)
-        offset += data.nbytes
-    segment = shared_memory.SharedMemory(create=True, size=max(1, offset),
-                                         name=name)
-    try:
-        for column, (dtype, shape, start) in columns.items():
-            view = np.ndarray(shape, dtype=dtype, buffer=segment.buf,
-                              offset=start)
-            view[...] = arrays[column]
-            view = None
-    finally:
-        descriptor = {
-            "shm": segment.name,
-            "columns": columns,
-            "n_fragments": int(block.n_fragments),
-            "index": int(block.index) if block.index is not None else 0,
-        }
-        segment.close()
-        _disown_segment(segment)
-    return descriptor
-
-
-def _disown_segment(segment) -> None:
-    """Transfer cleanup responsibility to the consumer.  Without this
-    the producer's resource tracker would unlink the segment again at
-    process exit -- after the parent already has -- and complain."""
-    try:
-        from multiprocessing import resource_tracker
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:
-        pass
-
-
-def _consume_shm_block(shared_memory, descriptor, fold) -> None:
-    """Rebuild a block from its shared segment, run ``fold(block)``
-    (which must not retain views -- address mapping copies), then
-    close and unlink the segment."""
-    segment = shared_memory.SharedMemory(name=descriptor["shm"])
-    block = columns = None
-    try:
-        columns = dict.fromkeys(_BLOCK_COLUMNS)
-        for name, (dtype, shape, start) in descriptor["columns"].items():
-            columns[name] = np.ndarray(tuple(shape), dtype=dtype,
-                                       buffer=segment.buf, offset=start)
-        block = FragmentBlock(n_fragments=descriptor["n_fragments"],
-                              index=descriptor["index"], **columns)
-        fold(block)
-    finally:
-        block = columns = None
-        try:
-            segment.close()
-        except BufferError:
-            pass  # a failing fold can pin views; unlink still works
-        try:
-            segment.unlink()
-        except FileNotFoundError:
-            pass
-
-
-def _discard_segment(descriptor) -> None:
-    """Best-effort unlink of an unconsumed in-flight segment (error
-    and shutdown paths)."""
-    shared_memory = _shm_module()
-    if shared_memory is None:
-        return
-    try:
-        segment = shared_memory.SharedMemory(name=descriptor["shm"])
-        segment.close()
-        segment.unlink()
-    except Exception:
-        pass
-
-
-def _purge_segments(prefix: str, extra=()) -> None:
-    """Unlink every shared segment a pool may have left behind: the
-    tracked in-flight names plus anything matching the pool's unique
-    name prefix -- covering segments still queued, packed by a worker
-    that died before shipping, or mid-consume when a forced shutdown
-    struck."""
-    shared_memory = _shm_module()
-    if shared_memory is None:
-        return
-    names = {name for name in extra if name}
-    shm_dir = Path("/dev/shm")
-    if prefix and shm_dir.is_dir():
-        try:
-            names.update(entry.name for entry in shm_dir.glob(prefix + "*"))
-        except OSError:
-            pass
-    for name in names:
-        try:
-            segment = shared_memory.SharedMemory(name=name)
-        except Exception:
-            continue
-        try:
-            segment.close()
-            segment.unlink()
-        except Exception:
-            pass
-
-
 # -- worker side -----------------------------------------------------------
 
 #: Per-worker memo of the last built scene / placements: an experiment
@@ -454,7 +269,6 @@ _READERS: dict = {}
 
 
 def _cached_scene(spec):
-    from .streaming import _build_scene
     key = (spec.scene, float(spec.scale), float(spec.time))
     if key not in _SCENES:
         _SCENES.clear()
@@ -504,7 +318,7 @@ def _bind_to_parent_lifetime() -> None:
         pass  # non-Linux hosts: orphans idle until their queue closes
 
 
-def _worker_loop(channel, events, heartbeats, block_credits, slot) -> None:
+def _worker_loop(channel, events, heartbeats, slot) -> None:
     """Generic persistent worker: render and fold ranges, or resolve
     profiles jobs, from its own task ``channel`` until the ``None``
     sentinel.  A task failure is reported as an event and the worker
@@ -526,11 +340,10 @@ def _worker_loop(channel, events, heartbeats, block_credits, slot) -> None:
                     job.get("attempt", 0)))
         try:
             if kind == "render":
-                _worker_render(job, events, beat, block_credits)
+                _worker_render(job, events, beat)
             elif kind == "fold":
-                _worker_fold(job, events, beat)
-            elif kind == "foldparts":
-                _worker_fold_parts(job, events, beat)
+                events.put(("fold_done", job.get("fold", 0), job["range"],
+                            job.get("attempt", 0), _fold_job(job, beat)))
             elif kind == "profiles":
                 _worker_profiles(job, events, beat)
             else:
@@ -585,64 +398,50 @@ def _run_worker_fault(fault, store) -> None:
         store._demoted = True
 
 
-def _worker_render(job: dict, events, beat, block_credits=None) -> None:
-    """Render one triangle slice: persist its parts (strided index
-    space), fold them inline (state transport) or ship each block to
-    the folding parent (shm/store), report envelopes.  A completed
-    range also leaves a completion record in the store so an
-    interrupted run can resume from its parts."""
-    if os.environ.get("REPRO_FAULT_STREAM_POOL") == "die":
-        os._exit(1)  # legacy whole-pool fault: every attempt dies
-    spec = job["trace_spec"]
+def _worker_render(job: dict, events, beat) -> None:
+    """Render one triangle slice in a worker (:func:`_render_range`),
+    with the ``render-block`` fault point armed, and ship the range's
+    states and part envelopes to the parent."""
     store = ArtifactStore(job["root"])
-    writer = store.open_render_writer(spec, part_base=job["part_base"])
-    shared_memory = _shm_module() if job["transport"] == "shm" else None
-    states = placements = None
-    if job["transport"] == "state":
-        from .streaming import _fold_block_into
-        placements = _cached_placements(spec, job["layout_spec"])
-        states = {pair: PartialSetProfile.empty(*pair)
-                  for pair in job["pairs"]}
-    totals: dict = {}
-    blocks = render_trace_blocks(
-        _cached_scene(spec), job["chunk_size"],
-        order=order_from_spec(spec.order), raster=spec.raster,
-        record_positions=spec.record_positions,
-        max_anisotropy=spec.max_anisotropy, lod_bias=spec.lod_bias,
-        use_mipmaps=spec.use_mipmaps, totals=totals,
-        triangle_slice=(job["range"], job["n_ranges"]))
-    n_blocks = 0
-    for block in blocks:
+
+    def on_block(n_blocks):
         fault = faults.maybe_fault("render-block", range=job["range"],
                                    block=n_blocks)
         if fault is not None:
             _run_worker_fault(fault, store)
-        writer.append(block)
-        if states is not None:
-            _fold_block_into(states, block.byte_addresses(placements))
-        elif shared_memory is not None:
-            if block_credits is not None:
-                # Backpressure: one credit per in-flight segment, given
-                # back by the parent on receipt.
-                block_credits.acquire()
-            segment_name = (f"{job.get('shm_prefix', '')}"
-                            f"f{job.get('fold', 0)}r{job['range']}"
-                            f"b{n_blocks}a{job.get('attempt', 0)}")
-            descriptor = _pack_block(shared_memory, block,
-                                     name=segment_name)
-            drop = faults.maybe_fault("ship-block", range=job["range"],
-                                      block=n_blocks)
-            if drop is not None:
-                _discard_segment(descriptor)  # ships a dangling handle
-            events.put(("block", job.get("fold", 0), job["range"],
-                        job.get("attempt", 0), n_blocks, descriptor))
-        elif len(writer.part_envelopes) != n_blocks + 1:
-            # Store transport folds off the part files, so a part that
-            # failed to persist (demoted store) would hang the parent.
-            raise RuntimeError(
-                "store transport needs every part persisted")
-        n_blocks += 1
         beat()
+
+    states, payload = _render_range(store, job, on_block)
+    events.put(("range_done", job.get("fold", 0), job["range"],
+                job.get("attempt", 0), dict(payload, states=states)))
+
+
+def _render_range(store, job: dict, on_block=None) -> tuple:
+    """Render one triangle slice: persist its parts (strided index
+    space), fold each block into the range's per-pair states, and
+    leave a completion record in the store so an interrupted run can
+    resume from the parts.  ``on_block(n)`` runs before block ``n`` is
+    persisted.  Returns ``(states, payload)``; the payload carries the
+    part envelopes the parent publishes.  Runs in a worker, or in the
+    parent for a residual range."""
+    spec = job["trace_spec"]
+    writer = store.open_render_writer(spec, part_base=job["part_base"])
+    placements = _cached_placements(spec, job["layout_spec"])
+    states = {pair: PartialSetProfile.empty(*pair) for pair in job["pairs"]}
+    totals: dict = {}
+    n_blocks = 0
+    for block in render_trace_blocks(
+            _cached_scene(spec), job["chunk_size"],
+            order=order_from_spec(spec.order), raster=spec.raster,
+            record_positions=spec.record_positions,
+            max_anisotropy=spec.max_anisotropy, lod_bias=spec.lod_bias,
+            use_mipmaps=spec.use_mipmaps, totals=totals,
+            triangle_slice=(job["range"], job["n_ranges"])):
+        if on_block is not None:
+            on_block(n_blocks)
+        writer.append(block)
+        _fold_block_into(states, block.byte_addresses(placements))
+        n_blocks += 1
     envelopes, complete, has_positions = writer.finish_parts()
     totals.pop("per_triangle_fragments", None)
     totals["has_positions"] = has_positions
@@ -653,53 +452,36 @@ def _worker_render(job: dict, events, beat, block_credits=None) -> None:
         # after this range completed can still resume from it.
         store.save_range_record(spec, job["range"],
                                 {"range": job["range"], **payload})
-    if states is not None:
-        payload["states"] = states
-    events.put(("range_done", job.get("fold", 0), job["range"],
-                job.get("attempt", 0), payload))
+    return states, payload
 
 
-def _worker_fold(job: dict, events, beat) -> None:
-    """Fold one contiguous part range of a warm chunked trace into
-    per-pair partial states (picklable; parent merges in part order)."""
-    from .streaming import _fold_block_into
-    reader = _cached_reader(job["root"], job["trace_spec"])
-    if reader is None:
-        raise RuntimeError("chunked trace vanished under the fold")
+def _fold_job(job: dict, beat=None, reader=None) -> dict:
+    """Fold one ``fold`` job's blocks into per-pair partial states
+    (picklable; the parent merges them in range order).  The job
+    names either a part range ``lo:hi`` of a published chunked trace
+    (``reader``, or the worker's cached one) or, for a range resumed
+    after a crash, the verified part files themselves: an interrupted
+    render has no sidecar to open a reader from."""
+    if "parts" in job:
+        blocks = (load_part_block(job["root"], name, sequence)
+                  for sequence, name in enumerate(job["parts"]))
+    else:
+        if reader is None:
+            reader = _cached_reader(job["root"], job["trace_spec"])
+        if reader is None:
+            raise RuntimeError("chunked trace vanished under the fold")
+        blocks = (reader.read_part(index)
+                  for index in range(job["lo"], job["hi"]))
     placements = _cached_placements(job["trace_spec"], job["layout_spec"])
-    states = {pair: PartialSetProfile.empty(*pair)
-              for pair in job["pairs"]}
-    for index in range(job["lo"], job["hi"]):
-        _fold_block_into(states,
-                         reader.read_part(index).byte_addresses(placements))
-        beat()
-    events.put(("fold_done", job.get("fold", 0), job["range"],
-                job.get("attempt", 0), states))
-
-
-def _worker_fold_parts(job: dict, events, beat) -> None:
-    """Fold the explicitly named (envelope-verified) part files of one
-    resumed range -- the crash-resume analog of :func:`_worker_fold`,
-    which cannot be used because an interrupted render has no sidecar
-    to open a reader from."""
-    from .streaming import _fold_block_into
-    spec = job["trace_spec"]
-    placements = _cached_placements(spec, job["layout_spec"])
-    states = {pair: PartialSetProfile.empty(*pair)
-              for pair in job["pairs"]}
-    for sequence, name in enumerate(job["parts"]):
-        block = load_part_block(job["root"], name, sequence)
+    states = {pair: PartialSetProfile.empty(*pair) for pair in job["pairs"]}
+    for block in blocks:
         _fold_block_into(states, block.byte_addresses(placements))
-        beat()
-    events.put(("fold_done", job.get("fold", 0), job["range"],
-                job.get("attempt", 0), states))
+        if beat is not None:
+            beat()
+    return states
 
 
 # -- the persistent pool ---------------------------------------------------
-
-#: Distinguishes the shared-memory prefixes of pools created in one
-#: process lifetime (a test teardown/rebuild cycle reuses the PID).
-_POOL_SEQ = itertools.count()
 
 #: Process-wide respawn counter: folds snapshot it around their run to
 #: attribute respawns (including ones performed by ``get_pool``
@@ -712,9 +494,8 @@ class _EventQueue:
     synchronously under a lock, read only by the parent.
 
     Unbounded like a ``multiprocessing.Queue`` (a bounded queue's slot
-    semaphore leaks when a worker dies between put and receipt; shm
-    backpressure lives in ``block_credits``), but without its
-    background feeder thread.  That thread takes the queue's write
+    semaphore leaks when a worker dies between put and receipt), but
+    without its background feeder thread.  That thread takes the queue's write
     lock after ``put()`` returns, so a worker that puts an event and
     then dies (the ``kill-worker`` fault, ``os._exit``) could die
     holding the lock, and no worker's event would ever reach the
@@ -736,20 +517,10 @@ class _EventQueue:
             raise Empty
         return self._reader.recv()
 
-    def drain(self) -> list:
-        """Close the queue and return what was left in it.  Closing
-        the parent's write end first lets a message that a killed
-        worker left half-written end in EOF instead of a hang (unless
-        another live process still holds a copy of that end)."""
+    def close(self) -> None:
+        """Close both ends; unread messages are dropped."""
         self._writer.close()
-        left = []
-        try:
-            while self._reader.poll(0):
-                left.append(self._reader.recv())
-        except Exception:
-            pass
         self._reader.close()
-        return left
 
 
 class StreamPool:
@@ -769,15 +540,6 @@ class StreamPool:
         self.workers = int(workers)
         self._context = multiprocessing.get_context()
         self.events = _EventQueue(self._context)
-        #: Shm-transport backpressure: workers take one credit per
-        #: in-flight block (before packing its segment) and the parent
-        #: returns it on receipt, capping in-flight segments -- and
-        #: therefore peak RSS -- at a few blocks.  A worker that dies
-        #: holding a credit leaks at most one; the supervisor
-        #: compensates per observed death (BoundedSemaphore caps any
-        #: over-compensation at the original capacity).
-        self.block_credits = self._context.BoundedSemaphore(
-            max(4, 2 * self.workers))
         #: Worker liveness stamps (``time.monotonic`` is system-wide on
         #: the platforms with fork, so parent and child clocks agree).
         #: Lock-free: a stamp is one aligned double, and a lock would be
@@ -790,12 +552,6 @@ class StreamPool:
         #: task).
         self.fold_id = 0
         self.respawns = 0
-        #: Unique prefix for this pool's shared-memory segments, so a
-        #: forced shutdown can sweep leaked segments by glob.
-        self.shm_prefix = f"repro{os.getpid()}s{next(_POOL_SEQ)}"
-        #: Segment names the parent has received but not yet consumed;
-        #: unlinked on shutdown if a failure strands them.
-        self.inflight_segments: set = set()
         self.processes = [None] * self.workers
         self.channels = [None] * self.workers
         for slot in range(self.workers):
@@ -810,8 +566,7 @@ class StreamPool:
         self.heartbeats[slot] = time.monotonic()
         process = self._context.Process(
             target=_worker_loop,
-            args=(channel, self.events, self.heartbeats,
-                  self.block_credits, slot),
+            args=(channel, self.events, self.heartbeats, slot),
             name=f"stream-worker-{slot}", daemon=True)
         process.start()
         self.processes[slot] = process
@@ -821,14 +576,6 @@ class StreamPool:
         now, so the job deadline counts from dispatch."""
         self.heartbeats[slot] = time.monotonic()
         self.channels[slot].put(task)
-
-    def replenish_block_credit(self) -> None:
-        """Return one shm block credit (on block receipt, or as
-        compensation for a worker that died holding one)."""
-        try:
-            self.block_credits.release()
-        except ValueError:
-            pass  # already at full capacity: nothing was leaked
 
     def alive(self) -> bool:
         return all(process.is_alive() for process in self.processes)
@@ -873,15 +620,7 @@ class StreamPool:
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=5.0)
-        # Unlink any in-flight shared segments still queued, then sweep
-        # the pool's whole segment namespace: a forced shutdown can
-        # strand segments that were packed but never queued (producer
-        # killed mid-put) or received but never consumed.
-        for message in self.events.drain():
-            if message and message[0] == "block":
-                _discard_segment(message[5])
-        _purge_segments(self.shm_prefix, self.inflight_segments)
-        self.inflight_segments.clear()
+        self.events.close()
         for channel in self.channels:
             channel.close()
 
@@ -890,8 +629,7 @@ _POOL: StreamPool = None
 
 
 def _seed_pool_memos(spec, layout_spec, workers: int) -> None:
-    """Pre-build the scene (and, given a layout, the placements) in the
-    parent when a fresh pool is about to fork: children inherit the
+    """Pre-build the scene and its placements in the parent when a fresh pool is about to fork: children inherit the
     worker memos copy-on-write, so the whole pool pays one scene build
     -- mipmaps included -- instead of one per worker.  Texture
     synthesis dominates cold time on small scenes, and the duplicated
@@ -906,10 +644,7 @@ def _seed_pool_memos(spec, layout_spec, workers: int) -> None:
         return
     if multiprocessing.get_start_method() != "fork":
         return
-    if layout_spec is not None:
-        _cached_placements(spec, layout_spec)
-    else:
-        _cached_scene(spec).get_mipmaps()
+    _cached_placements(spec, layout_spec)
 
 
 def get_pool(workers: int) -> StreamPool:
@@ -981,8 +716,6 @@ class _Supervision:
         self.residual: dict = {}    # range index -> first terminal reason
         self.retry_at: list = []    # (due monotonic time, range index)
         self.first_failed_at: dict = {}
-        self.on_retry = None        # transport hook: reset partial fold
-        self.compensate_credits = False  # shm fold: repair leaked credits
         self.timeout = _job_timeout_s()
         self.retries = STREAM_RETRIES if retries is None else retries
         self.backoff_s = STREAM_BACKOFF_S if backoff_s is None else backoff_s
@@ -1063,8 +796,6 @@ class _Supervision:
         self.attempt[index] += 1
         self.first_failed_at.setdefault(index, time.monotonic())
         self.report.note(f"{self.label} range {index}: {why}")
-        if self.on_retry is not None:
-            self.on_retry(index)
         if self.tries[index] > self.retries:
             self.residual[index] = why
             self.report.residual_ranges += 1
@@ -1088,14 +819,6 @@ class _Supervision:
             if index is not None:
                 self.fail(index, f"worker died (slot {slot})")
         if dead:
-            if self.compensate_credits:
-                # A worker killed between taking a block credit and the
-                # parent receiving the block leaks that credit.  Each
-                # death can hold at most one, so return one per death;
-                # the BoundedSemaphore caps over-compensation at the
-                # original capacity.
-                for _ in dead:
-                    pool.replenish_block_credit()
             started = time.monotonic()
             pool.respawn_dead()
             self.report.recovery_s += time.monotonic() - started
@@ -1105,8 +828,6 @@ class _Supervision:
             if now - pool.heartbeats[slot] <= self.timeout:
                 continue
             pool.kill_slot(slot)
-            if self.compensate_credits:
-                pool.replenish_block_credit()
             self.fail(index, f"worker wedged (slot {slot}: no heartbeat "
                              f"for {self.timeout:.0f}s)")
             pool.respawn_dead()
@@ -1134,17 +855,9 @@ def _receive(pool: StreamPool, supervisor: _Supervision, message,
     Returns True when the message constituted progress."""
     kind, fold, index, attempt = (message[0], message[1],
                                   message[2], message[3])
-    if kind == "block":
-        # Every shipped block holds one backpressure credit; give it
-        # back on receipt no matter what happens to the block next.
-        pool.replenish_block_credit()
     if fold != pool.fold_id:
         # A straggler from an earlier fold of this pool (its range was
-        # retried or abandoned); only its segment needs freeing.
-        if kind == "block":
-            descriptor = message[5]
-            pool.inflight_segments.discard(descriptor.get("shm"))
-            _discard_segment(descriptor)
+        # retried or abandoned).
         return False
     if kind == "started":
         return True  # liveness: the range is in flight, not stalled
@@ -1162,12 +875,11 @@ def _receive(pool: StreamPool, supervisor: _Supervision, message,
 
 
 def _drive(pool: StreamPool, supervisor: _Supervision, handle,
-           poll=None, what: str = "pipelined fold") -> None:
+           what: str = "pipelined fold") -> None:
     """The supervised event loop shared by the warm and cold folds:
-    flush due retries, consume events, run the transport's readiness
-    poll, check worker health on a short period, and declare a stall
-    only when nothing -- events, polls, recoveries -- has progressed
-    for :data:`NO_PROGRESS_TIMEOUT_S`."""
+    flush due retries, consume events, check worker health on a short
+    period, and declare a stall only when nothing -- events or
+    recoveries -- has progressed for :data:`NO_PROGRESS_TIMEOUT_S`."""
     last_progress = last_health = time.monotonic()
     while not supervisor.finished():
         if supervisor.flush_due():
@@ -1177,11 +889,8 @@ def _drive(pool: StreamPool, supervisor: _Supervision, handle,
             message = pool.events.get(timeout=EVENT_POLL_S)
         except Empty:
             message = None
-        progressed = False
-        if message is not None:
-            progressed = _receive(pool, supervisor, message, handle)
-        if poll is not None and poll():
-            progressed = True
+        progressed = (message is not None
+                      and _receive(pool, supervisor, message, handle))
         now = time.monotonic()
         if progressed:
             last_progress = now
@@ -1304,14 +1013,48 @@ def _fold_dispatch(profiles, pairs) -> dict:
             raise PipelineError(
                 "store cannot hold the chunked representation")
     if reader is not None:
-        if len(reader) < 2:
-            raise PipelineError("single-part trace (nothing to fan out)")
         return _fold_warm(profiles, pairs, reader)
     return _fold_cold(profiles, pairs)
 
 
+def _merge_ranges(results: dict, pairs) -> dict:
+    """Merge per-range states in range order: merge() is
+    associative-exact but not commutative, and range order is part
+    order is stream order."""
+    merged = {pair: PartialSetProfile.empty(*pair) for pair in pairs}
+    for index in sorted(results):
+        for pair in pairs:
+            merged[pair] = merged[pair].merge(results[index][pair])
+    return merged
+
+
+def _recover_residual(supervisor: _Supervision, report: StreamReport,
+                      what: str, recover) -> None:
+    """Escalation rung two: run every residual range's job serially in
+    the parent (``recover(index, kind, job)``), unless no range
+    succeeded in the pool at all -- then the fold raises
+    :class:`PipelineError` for the caller's serial fallback."""
+    residual = sorted(supervisor.residual)
+    if not residual:
+        return
+    if not supervisor.complete:
+        raise PipelineError(
+            f"every {what} range failed in the pool "
+            f"({_last_line(supervisor.residual[residual[0]])})")
+    started = time.monotonic()
+    for index in residual:
+        recover(index, *supervisor.jobs[index])
+        supervisor.note_complete(index)
+    report.recovery_s += time.monotonic() - started
+    warnings.warn(
+        f"pipelined {what} recovered {len(residual)} residual "
+        "range(s) serially in the parent after the retry budget",
+        RuntimeWarning, stacklevel=6)
+
+
 def _fold_warm(profiles, pairs, reader) -> dict:
-    """Fan a warm chunked trace's part ranges over the pool."""
+    """Fan a warm chunked trace's part ranges over the pool (a
+    single-part trace is one range)."""
     report = _report_of(profiles)
     _seed_pool_memos(profiles.trace_spec, profiles.layout_spec,
                      profiles.stream_workers)
@@ -1341,74 +1084,31 @@ def _fold_warm(profiles, pairs, reader) -> dict:
         supervisor.note_complete(index)
         return True
 
+    def recover(index, kind, job):
+        results[index] = _fold_job(job, reader=reader)
+
     supervisor.dispatch_all()
     _drive(pool, supervisor, handle, what="pipelined warm fold")
-    if supervisor.residual:
-        if not supervisor.complete:
-            raise PipelineError(
-                "every warm fold range failed in the pool "
-                f"({_last_line(next(iter(supervisor.residual.values())))})")
-        _recover_residual_warm(profiles, pairs, reader, supervisor,
-                               results, report)
-    # merge() is associative-exact but not commutative: range order is
-    # part order is stream order.
-    states = {pair: PartialSetProfile.empty(*pair) for pair in pairs}
-    for index in sorted(jobs):
-        for pair in pairs:
-            states[pair] = states[pair].merge(results[index][pair])
-    return states
-
-
-def _recover_residual_warm(profiles, pairs, reader, supervisor, results,
-                           report) -> None:
-    """Escalation rung two for the warm fold: fold the residual part
-    ranges serially in the parent."""
-    residual = sorted(supervisor.residual.items())
-    started = time.monotonic()
-    from .streaming import _fold_block_into
-    placements = _cached_placements(profiles.trace_spec,
-                                    profiles.layout_spec)
-    for index, why in residual:
-        _, job = supervisor.jobs[index]
-        states = {pair: PartialSetProfile.empty(*pair) for pair in pairs}
-        for part_index in range(job["lo"], job["hi"]):
-            _fold_block_into(
-                states,
-                reader.read_part(part_index).byte_addresses(placements))
-        results[index] = states
-        supervisor.note_complete(index)
-    report.recovery_s += time.monotonic() - started
-    warnings.warn(
-        f"pipelined warm fold recovered {len(residual)} residual "
-        "range(s) serially in the parent after the retry budget",
-        RuntimeWarning, stacklevel=6)
+    _recover_residual(supervisor, report, "warm fold", recover)
+    return _merge_ranges(results, pairs)
 
 
 def _fold_cold(profiles, pairs) -> dict:
     """Render, persist and fold a cold trace concurrently, resuming
-    from the verified parts of a previously interrupted run."""
+    from the verified parts of a previously interrupted run.  Workers
+    fold what they render, so the parent never maps a block: the
+    pre-fork seed builds the scene and placements once, in the worker
+    memo."""
     store = profiles.store
     spec = profiles.trace_spec
     report = _report_of(profiles)
-    transport = _resolve_transport(store)
-    # State transport: workers fold, so they need placements; shm and
-    # store fold in the parent, whose own placements (profiles._placed)
-    # live in a different memo -- seed the render-side scene only.
-    _seed_pool_memos(spec,
-                     profiles.layout_spec if transport == "state" else None,
-                     profiles.stream_workers)
+    _seed_pool_memos(spec, profiles.layout_spec, profiles.stream_workers)
     pool = get_pool(profiles.stream_workers)
-    # State transport folds inside the workers, so the parent never
-    # maps a block and skips its own placements (the pre-fork seed
-    # above builds the scene exactly once, in the worker memo).
-    placements = None if transport == "state" else profiles._placed()
     digest = fingerprint(spec.payload())
     with store.single_flight("traces", digest):
         reader = store.open_render_blocks(spec)
         if reader is not None:
             # A racing process published the trace while we waited.
-            if len(reader) < 2:
-                raise PipelineError("single-part trace (nothing to fan out)")
             return _fold_warm(profiles, pairs, reader)
         from . import runner
         runner.RENDER_CALLS += 1
@@ -1436,43 +1136,33 @@ def _fold_cold(profiles, pairs) -> dict:
                 f"cold fold ({spec.scene}): resumed {len(resumed)}/"
                 f"{n_ranges} range(s) from a prior interrupted render")
         jobs: dict = {}
-        render_jobs: list = []
         for index in range(n_ranges):
+            job = {"range": index, "root": str(store.root),
+                   "trace_spec": spec, "layout_spec": profiles.layout_spec,
+                   "pairs": pairs}
             if index in resumed:
-                jobs[index] = ("foldparts", {
-                    "range": index, "root": str(store.root),
-                    "trace_spec": spec,
-                    "layout_spec": profiles.layout_spec, "pairs": pairs,
-                    "parts": [entry["name"]
-                              for entry in resumed[index]["envelopes"]]})
+                jobs[index] = ("fold", dict(job, parts=[
+                    entry["name"]
+                    for entry in resumed[index]["envelopes"]]))
             else:
-                job = {"range": index, "n_ranges": n_ranges,
-                       "root": str(store.root), "trace_spec": spec,
-                       "layout_spec": profiles.layout_spec, "pairs": pairs,
-                       "chunk_size": chunk_size,
-                       "part_base": index * PART_STRIDE,
-                       "transport": transport,
-                       "shm_prefix": pool.shm_prefix}
-                jobs[index] = ("render", job)
-                render_jobs.append(job)
+                jobs[index] = ("render", dict(
+                    job, n_ranges=n_ranges, chunk_size=chunk_size,
+                    part_base=index * PART_STRIDE))
         pool.fold_id += 1
         supervisor = _Supervision(pool, jobs, report,
                                   f"cold fold ({spec.scene})")
         supervisor.dispatch_all()
-        states, done = _collect_cold(pool, supervisor, render_jobs,
-                                     resumed, pairs, placements, store,
-                                     spec, transport)
-        if supervisor.residual:
-            if not supervisor.complete:
-                raise PipelineError(
-                    "every render range failed in the pool "
-                    f"({_last_line(next(iter(supervisor.residual.values())))})")
-            _recover_residual_cold(profiles, supervisor, pairs, store,
-                                   spec, states, done, report)
-        merged = {pair: PartialSetProfile.empty(*pair) for pair in pairs}
-        for index in range(n_ranges):
-            for pair in pairs:
-                merged[pair] = merged[pair].merge(states[index][pair])
+        states, done = _collect_cold(pool, supervisor, resumed)
+
+        def recover(index, kind, job):
+            # The parent reuses the pre-fork scene memo: no rebuild.
+            if kind == "render":
+                states[index], done[index] = _render_range(store, job)
+            else:  # a resumed range whose fold job kept failing
+                states[index] = _fold_job(job)
+
+        _recover_residual(supervisor, report, "cold fold", recover)
+        merged = _merge_ranges(states, pairs)
         _publish_assembled(store, spec, done, n_ranges)
     return merged
 
@@ -1520,195 +1210,36 @@ def _load_resume(store, spec) -> tuple:
     return plan, resumed
 
 
-def _collect_cold(pool, supervisor, render_jobs, resumed, pairs,
-                  placements, store, spec, transport) -> tuple:
+def _collect_cold(pool, supervisor, resumed) -> tuple:
     """Drive the supervised event loop until every range is complete or
-    residual.  State transport: render ranges arrive pre-folded.
-    Shm/store: the parent folds each render range's blocks in order as
-    they arrive (shared memory) or as their part files land (readiness
-    polling).  Resumed ranges arrive pre-folded from ``foldparts``
-    jobs on every transport."""
-    from .streaming import _fold_block_into
-    shared_memory = _shm_module()
-    states = {index: {pair: PartialSetProfile.empty(*pair)
-                      for pair in pairs} for index in supervisor.jobs}
-    folded = {job["range"]: 0 for job in render_jobs}
+    residual.  Render ranges arrive folded, with their part envelopes;
+    resumed ranges arrive folded from ``fold`` jobs over their parts.
+    Returns ``(states, done)``: range index -> per-pair states, and
+    range index -> the range's persisted-parts record."""
+    states: dict = {}
     done = {index: dict(record) for index, record in resumed.items()}
-    resumed_pending = set(resumed)
-    pending = (ChunkedRenderReader.pending(store, spec)
-               if transport == "store" else None)
-
-    def fold_block(index, block):
-        _fold_block_into(states[index], block.byte_addresses(placements))
-        folded[index] += 1
-
-    def reset_range(index):
-        # A retry replays its range from the first block.  Only the shm
-        # fold accumulated transient state to roll back: store-transport
-        # retries republish identical parts (atomic replaces), so the
-        # parent's fold position stays valid, and state-transport
-        # ranges fold entirely in the worker.
-        if transport == "shm" and index in folded:
-            folded[index] = 0
-            states[index] = {pair: PartialSetProfile.empty(*pair)
-                             for pair in pairs}
-
-    supervisor.on_retry = reset_range
-    supervisor.compensate_credits = transport == "shm"
-
-    def check_complete(index):
-        if index in supervisor.complete or index in resumed_pending:
-            return
-        info = done.get(index)
-        if info is None:
-            return
-        if transport != "state" and index in folded \
-                and folded[index] < info["n_blocks"]:
-            return
-        supervisor.note_complete(index)
-        _maybe_kill_run(len(supervisor.complete))
 
     def handle(kind, index, attempt, message):
-        if kind == "block":
-            descriptor = message[5]
-            name = descriptor.get("shm")
-            if transport != "shm" or index in supervisor.complete \
-                    or not supervisor.current(index, attempt):
-                pool.inflight_segments.discard(name)
-                _discard_segment(descriptor)
-                return False  # a stale attempt's block: free and ignore
-            sequence = message[4]
-            if sequence != folded.get(index):
-                pool.inflight_segments.discard(name)
-                _discard_segment(descriptor)
-                supervisor.fail(index,
-                                f"block {sequence} arrived at fold "
-                                f"position {folded.get(index)}")
-                return True
-            pool.inflight_segments.add(name)
-            try:
-                _consume_shm_block(shared_memory, descriptor,
-                                   lambda block: fold_block(index, block))
-            except Exception as fault:
-                supervisor.fail(index, "shm block unusable "
-                                f"({type(fault).__name__}: {fault})")
-            finally:
-                pool.inflight_segments.discard(name)
-            check_complete(index)
-            return True
+        if kind not in ("range_done", "fold_done"):
+            raise PipelineError(f"unexpected {kind!r} event in cold fold")
+        if index in supervisor.complete:
+            return False  # a duplicate attempt finished; harmless
         if kind == "range_done":
             payload = message[4]
-            if index in supervisor.complete:
-                return False  # a duplicate attempt finished; harmless
-            if transport == "shm" and not supervisor.current(index, attempt):
-                return False  # the current attempt is re-shipping blocks
             if not payload.get("complete"):
                 supervisor.fail(index, "range persisted incomplete "
                                        "(worker store demoted)")
                 return True
-            worker_states = payload.pop("states", None)
-            if worker_states is not None:
-                # State transport: the worker already folded its
-                # range's blocks inline; nothing left to consume.
-                states[index] = worker_states
-                folded[index] = payload["n_blocks"]
+            states[index] = payload.pop("states")
             done[index] = payload
-            check_complete(index)
-            return True
-        if kind == "fold_done":
-            if index in supervisor.complete:
-                return False
+        else:
             states[index] = message[4]
-            resumed_pending.discard(index)
-            check_complete(index)
-            return True
-        raise PipelineError(f"unexpected {kind!r} event in cold fold")
-
-    def poll():
-        if pending is None:
-            return False
-        progressed = False
-        for job in render_jobs:
-            index = job["range"]
-            if index in supervisor.complete:
-                continue
-            info = done.get(index)
-            if info is not None and folded[index] >= info["n_blocks"]:
-                continue
-            while True:
-                block = pending.poll_part(job["part_base"] + folded[index])
-                if block is None:
-                    break
-                fold_block(index, block)
-                progressed = True
-            check_complete(index)
-        return progressed
-
-    _drive(pool, supervisor, handle, poll, what="pipelined cold fold")
-    return states, done
-
-
-def _recover_residual_cold(profiles, supervisor, pairs, store, spec,
-                           states, done, report) -> None:
-    """Escalation rung two for the cold fold: render (or, for a
-    resumed range, fold) each residual range serially in the parent.
-    The parent reuses the pre-fork scene memo, so no scene rebuild."""
-    residual = sorted(supervisor.residual.items())
-    started = time.monotonic()
-    from .streaming import _fold_block_into
-    placements = _cached_placements(spec, profiles.layout_spec)
-    for index, why in residual:
-        kind, job = supervisor.jobs[index]
-        if kind == "render":
-            range_states, payload = _render_range_inline(
-                store, spec, job, pairs, placements)
-            states[index] = range_states
-            done[index] = payload
-        else:  # a resumed range whose foldparts job kept failing
-            range_states = {pair: PartialSetProfile.empty(*pair)
-                            for pair in pairs}
-            for sequence, name in enumerate(job["parts"]):
-                _fold_block_into(
-                    range_states,
-                    load_part_block(store.root, name,
-                                    sequence).byte_addresses(placements))
-            states[index] = range_states
         supervisor.note_complete(index)
-    report.recovery_s += time.monotonic() - started
-    warnings.warn(
-        f"pipelined cold fold recovered {len(residual)} residual "
-        "range(s) serially in the parent after the retry budget",
-        RuntimeWarning, stacklevel=6)
+        _maybe_kill_run(len(supervisor.complete))
+        return True
 
-
-def _render_range_inline(store, spec, job, pairs, placements) -> tuple:
-    """Render one residual triangle slice in the parent: the same
-    persist/fold contract as :func:`_worker_render` (state transport),
-    minus the event queue."""
-    from .streaming import _fold_block_into
-    writer = store.open_render_writer(spec, part_base=job["part_base"])
-    states = {pair: PartialSetProfile.empty(*pair) for pair in pairs}
-    totals: dict = {}
-    n_blocks = 0
-    for block in render_trace_blocks(
-            _cached_scene(spec), job["chunk_size"],
-            order=order_from_spec(spec.order), raster=spec.raster,
-            record_positions=spec.record_positions,
-            max_anisotropy=spec.max_anisotropy, lod_bias=spec.lod_bias,
-            use_mipmaps=spec.use_mipmaps, totals=totals,
-            triangle_slice=(job["range"], job["n_ranges"])):
-        writer.append(block)
-        _fold_block_into(states, block.byte_addresses(placements))
-        n_blocks += 1
-    envelopes, complete, has_positions = writer.finish_parts()
-    totals.pop("per_triangle_fragments", None)
-    totals["has_positions"] = has_positions
-    payload = {"envelopes": envelopes, "complete": complete,
-               "totals": totals, "n_blocks": n_blocks}
-    if complete:
-        store.save_range_record(spec, job["range"],
-                                {"range": job["range"], **payload})
-    return states, payload
+    _drive(pool, supervisor, handle, what="pipelined cold fold")
+    return states, done
 
 
 def _publish_assembled(store, spec, done, n_ranges) -> bool:

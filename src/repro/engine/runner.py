@@ -372,7 +372,7 @@ class Engine:
         return self._streams[key]
 
     def streamed(self, trace_spec: TraceSpec, layout_spec,
-                 chunk_size: Optional[int] = None, shards: int = 0,
+                 chunk_size: Optional[int] = None,
                  stream_workers: int = 0):
         """Constant-memory :class:`~repro.engine.streaming.StreamedProfiles`
         for (trace, layout), memoized.  Same profiles (bit for bit) as
@@ -380,16 +380,14 @@ class Engine:
         blocks instead of materialized arrays.  ``stream_workers >= 2``
         runs the fold through the pipelined persistent pool
         (:mod:`repro.engine.pipelined`): cold renders are partitioned
-        across workers and folded as they stream back."""
+        across workers, each folding the blocks it renders."""
         from .streaming import DEFAULT_CHUNK_SIZE, StreamedProfiles
         chunk = int(chunk_size) if chunk_size else DEFAULT_CHUNK_SIZE
-        key = (trace_spec, tuple(layout_spec), chunk, int(shards),
-               int(stream_workers))
+        key = (trace_spec, tuple(layout_spec), chunk, int(stream_workers))
         if key not in self._streamed:
             self._streamed[key] = StreamedProfiles(
                 self.store, trace_spec, layout_spec,
-                chunk_size=chunk, shards=int(shards),
-                stream_workers=int(stream_workers))
+                chunk_size=chunk, stream_workers=int(stream_workers))
         return self._streamed[key]
 
     # -- batched profile resolution --------------------------------------
@@ -478,8 +476,7 @@ class Engine:
 
     def run(self, experiment: ExperimentSpec, workers: int = 0,
             kernel: str = "vectorized", chunk_size: Optional[int] = None,
-            shards: int = 0, stream_workers: int = 0,
-            audit_parts: int = 0) -> "ExperimentResult":
+            stream_workers: int = 0, audit_parts: int = 0) -> "ExperimentResult":
         """Execute every cell of ``experiment``.
 
         ``workers > 1`` first resolves the grid's profiles (or, for
@@ -492,17 +489,17 @@ class Engine:
         per-set distance profile; ``"reference"`` runs the sequential
         :class:`~repro.core.cache.LRUCache` simulator.
 
-        ``chunk_size`` and/or ``shards > 0`` switch the profile stage
-        to the streaming fold (:mod:`repro.engine.streaming`): the
-        trace is never materialized, peak memory is bounded by the
-        chunk size independent of trace length, and ``shards`` fans
-        the fold over a process pool.  ``stream_workers >= 2``
-        pipelines the fold instead (:mod:`repro.engine.pipelined`):
-        cold renders are partitioned across a persistent worker pool
-        and folded as blocks stream back through shared memory.
-        Streaming produces bit-identical rows and requires the
-        vectorized kernel (the reference simulator needs the in-RAM
-        stream).
+        ``chunk_size`` and/or ``stream_workers > 0`` switch the
+        profile stage to the streaming fold
+        (:mod:`repro.engine.streaming`): the trace is never
+        materialized, and peak memory is bounded by the chunk size
+        independent of trace length.  ``stream_workers >= 2``
+        pipelines the fold (:mod:`repro.engine.pipelined`): cold
+        renders are partitioned across a persistent worker pool, each
+        worker folding the blocks it renders, and a warm trace's parts
+        fan out over the same pool.  Streaming produces bit-identical
+        rows and requires the vectorized kernel (the reference
+        simulator needs the in-RAM stream).
 
         ``audit_parts = N`` additionally replays N sampled parts of
         every streamed trace through the sequential reference oracle
@@ -512,20 +509,20 @@ class Engine:
         :attr:`ExperimentResult.audit_reports`.
         """
         check_kernel(kernel)
-        # Any shard/pipeline request counts as streaming (a single
-        # shard folds serially) so combining one with the reference
-        # kernel fails loudly instead of silently running the
-        # non-streamed vectorized path.
-        streaming = bool(chunk_size) or shards > 0 or stream_workers > 0
+        # Any pipeline request counts as streaming (a single worker
+        # folds serially) so combining one with the reference kernel
+        # fails loudly instead of silently running the non-streamed
+        # vectorized path.
+        streaming = bool(chunk_size) or stream_workers > 0
         if streaming and kernel != "vectorized":
             raise ValueError(
-                "streaming execution (chunk_size/shards/stream_workers) "
+                "streaming execution (chunk_size/stream_workers) "
                 "requires the vectorized kernel; the reference simulator "
                 "replays the materialized stream")
         if audit_parts and not streaming:
             raise ValueError(
                 "audit_parts spot-audits the streaming fold; enable "
-                "streaming (chunk_size/shards/stream_workers) to use it")
+                "streaming (chunk_size/stream_workers) to use it")
         warm_report = None
         pairs = _profile_pairs(experiment)
         if workers and workers > 1:
@@ -542,7 +539,6 @@ class Engine:
                 if streaming:
                     streams = self.streamed(trace_spec, layout_spec,
                                             chunk_size=chunk_size,
-                                            shards=shards,
                                             stream_workers=stream_workers)
                     # Per-run recovery accounting: the memoized
                     # StreamedProfiles would otherwise re-report a
@@ -677,7 +673,7 @@ class ExperimentResult:
     warm_report: Optional[WarmReport] = field(default=None)
     #: Aggregated :class:`~repro.engine.pipelined.StreamReport` when
     #: the run used pipelined streaming (``stream_workers >= 2``);
-    #: ``None`` for serial/sharded runs.
+    #: ``None`` for serial runs.
     stream_report: object = field(default=None)
     #: One :class:`~repro.engine.streaming.StreamAuditReport` per
     #: streamed (trace, layout) pair when ``audit_parts`` was set.
@@ -710,7 +706,6 @@ def run_experiment(experiment: ExperimentSpec,
                    workers: int = 0,
                    kernel: str = "vectorized",
                    chunk_size: Optional[int] = None,
-                   shards: int = 0,
                    stream_workers: int = 0,
                    audit_parts: int = 0) -> ExperimentResult:
     """Convenience wrapper: run ``experiment`` on ``engine`` (or a
@@ -718,6 +713,6 @@ def run_experiment(experiment: ExperimentSpec,
     if engine is None:
         engine = Engine(store=store)
     return engine.run(experiment, workers=workers, kernel=kernel,
-                      chunk_size=chunk_size, shards=shards,
+                      chunk_size=chunk_size,
                       stream_workers=stream_workers,
                       audit_parts=audit_parts)

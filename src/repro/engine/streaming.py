@@ -21,16 +21,13 @@ number (miss-rate curves, 3C classification) is bit-identical to the
 in-RAM path.
 
 Peak RSS is bounded by ``O(chunk_size + distinct lines + scene
-textures)``, independent of trace length.  ``shards > 1`` fans the
-fold out over contiguous part ranges of the store's chunked trace
-across a ``multiprocessing`` pool (the same pool discipline as the
-warm phase); per-shard partial states merge associatively in part
-order, so the sharded result is bit-identical too.
+textures)``, independent of trace length.  ``stream_workers >= 2``
+runs the same fold on the persistent worker pool of
+:mod:`repro.engine.pipelined`, bit-identical too.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -93,28 +90,6 @@ def _fold_block_into(states: dict, addresses: np.ndarray) -> None:
                 line_size, n_sets))
 
 
-def _shard_fold_task(task) -> dict:
-    """Pool worker: fold one contiguous part range of a chunked trace
-    into per-pair partial states (picklable, merged by the parent).
-
-    Scene/placements and the verified reader come from the pipelined
-    module's worker memos: a forked worker inherits the parent's
-    pre-built copies (and its verify-once digest cache) copy-on-write,
-    so the shard pool pays zero scene builds and re-verifies parts
-    with stats instead of hashes."""
-    from .pipelined import _cached_placements, _cached_reader
-    root, trace_spec, layout_spec, lo, hi, pairs = task
-    reader = _cached_reader(root, trace_spec)
-    if reader is None:
-        raise RuntimeError("chunked trace artifact vanished under the fold")
-    placements = _cached_placements(trace_spec, layout_spec)
-    states = {pair: PartialSetProfile.empty(*pair) for pair in pairs}
-    for index in range(lo, hi):
-        _fold_block_into(states, reader.read_part(index).byte_addresses(
-            placements))
-    return states
-
-
 class StreamingAuditError(RuntimeError):
     """A spot-audited part disagreed with the sequential reference
     oracle (or the folded profile disagreed with the trace totals)."""
@@ -167,14 +142,13 @@ class StreamedProfiles:
 
     def __init__(self, store: Optional[ArtifactStore], trace_spec: TraceSpec,
                  layout_spec, chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 shards: int = 0, stream_workers: int = 0):
+                 stream_workers: int = 0):
         if chunk_size < 1:
             raise ValueError("chunk_size must be positive")
         self.store = store if store is not None else ArtifactStore()
         self.trace_spec = trace_spec
         self.layout_spec = tuple(layout_spec)
         self.chunk_size = int(chunk_size)
-        self.shards = int(shards)
         self.stream_workers = int(stream_workers)
         self._payload = addresses_payload(trace_spec, self.layout_spec)
         self._profiles = {}
@@ -191,7 +165,8 @@ class StreamedProfiles:
     def stream(self, line_size: int) -> LineStream:
         raise RuntimeError(
             "streaming mode never materializes a LineStream; the reference "
-            "kernel needs the in-RAM path (drop --chunk-size/--shards)")
+            "kernel needs the in-RAM path (drop --chunk-size/"
+            "--stream-workers)")
 
     def profile(self, line_size: int) -> DistanceProfile:
         """Fully-associative distance profile: the ``n_sets == 1``
@@ -274,48 +249,9 @@ class StreamedProfiles:
                     f"pipelined streaming fold failed ({fault}); "
                     "falling back to the serial streaming path",
                     RuntimeWarning, stacklevel=3)
-        if self.shards > 1:
-            reader = self._ensure_chunked()
-            if reader is not None and len(reader) > 1:
-                try:
-                    return self._fold_sharded(reader, pairs)
-                except Exception as fault:  # pool death: correctness first
-                    warnings.warn(
-                        f"sharded profile fold failed ({fault}); "
-                        "continuing in-process", RuntimeWarning,
-                        stacklevel=3)
         states = {pair: PartialSetProfile.empty(*pair) for pair in pairs}
         for block in self._blocks():
             _fold_block_into(states, block.byte_addresses(self._placed()))
-        return states
-
-    def _fold_sharded(self, reader, pairs) -> dict:
-        import multiprocessing
-
-        if multiprocessing.get_start_method() == "fork":
-            # Build placements once in the parent before the pool
-            # forks: every worker inherits the memo copy-on-write
-            # instead of re-synthesizing the scene's textures.
-            from .pipelined import _cached_placements
-            _cached_placements(self.trace_spec, self.layout_spec)
-        n_parts = len(reader)
-        shards = min(self.shards, n_parts)
-        bounds = np.linspace(0, n_parts, shards + 1).astype(int)
-        tasks = [(str(self.store.root), self.trace_spec, self.layout_spec,
-                  int(lo), int(hi), tuple(pairs))
-                 for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        # Cap the pool at the machine: shards partition work, not
-        # processes, and oversubscribing cores with one process per
-        # shard only adds fork/teardown cost.
-        processes = min(len(tasks), os.cpu_count() or 1)
-        with multiprocessing.Pool(processes=processes) as pool:
-            results = pool.map(_shard_fold_task, tasks)
-        # merge() is associative and exact, so folding the per-shard
-        # states in part order reproduces the serial fold bit for bit.
-        states = {pair: PartialSetProfile.empty(*pair) for pair in pairs}
-        for shard_states in results:
-            for pair in pairs:
-                states[pair] = states[pair].merge(shard_states[pair])
         return states
 
     # -- spot audit --------------------------------------------------------

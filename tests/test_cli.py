@@ -76,13 +76,13 @@ class TestSimulate:
             assert main(["simulate", "goblet", "--scale", "0.1",
                          "--layout", layout]) == 0
 
-    def test_shards_reject_reference_kernel(self, capsys):
-        # --shards (any count) requests streaming; the reference
-        # simulator cannot stream, so the CLI refuses instead of
-        # silently dropping the flag.
+    def test_stream_workers_reject_reference_kernel(self, capsys):
+        # --stream-workers (any count, even 1, which folds serially)
+        # requests streaming; the reference simulator cannot stream, so
+        # the CLI refuses instead of silently dropping the flag.
         for args in (["simulate"], ["sweep", "--axis", "cache"]):
             assert main([args[0], "goblet", "--scale", "0.1",
-                         *args[1:], "--shards", "1",
+                         *args[1:], "--stream-workers", "1",
                          "--kernel", "reference"]) == 2
             assert "vectorized" in capsys.readouterr().err
 

@@ -1,18 +1,14 @@
 """Pipelined parallel streaming: bit-identity, fallbacks, auditing.
 
 The pipelined fold (:mod:`repro.engine.pipelined`) partitions cold
-renders across a persistent worker pool; workers fold their own
-slices inline (state transport, the default) or ship blocks to a
-parent-side fold over shared memory / store readiness-polling.  Every
-path must reproduce the in-RAM pipeline bit for bit; every failure mode
-must degrade to the serial streamed path with a warning, never a
-wrong answer.  Also covers the ``audit_parts`` sequential-oracle
-spot check and the sharded fold's process cap.
+renders across a persistent worker pool, and each worker folds the
+blocks it renders.  Every path must reproduce the in-RAM pipeline bit
+for bit; every failure mode must degrade to the serial streamed path
+with a warning, never a wrong answer.  Also covers the
+``audit_parts`` sequential-oracle spot check.
 """
 
 import contextlib
-import multiprocessing
-import os
 import re
 import warnings
 
@@ -167,11 +163,37 @@ class TestPipelinedRun:
         assert pipelined._POOL is pool
         assert [process.pid for process in pool.processes] == pids
 
+    def test_single_part_warm_trace_keeps_the_pool(self, tmp_path):
+        # A trace stored as one part folds as one warm range on the
+        # pool: no fallback warning, and the pool and its workers stay.
+        grid = {**GRID, "scenes": ("goblet",), "scale": 0.1}
+        engine = Engine(store=ArtifactStore(tmp_path / "a"))
+        stored = ExperimentSpec(**grid)
+        engine.run(stored, chunk_size=1 << 20)
+        reader = engine.store.open_render_blocks(stored.trace_specs()[0])
+        assert reader is not None and len(reader) == 1
+        other = ExperimentSpec(**{**grid, "layouts": (("nonblocked",),)})
+        ram = Engine(store=ArtifactStore(tmp_path / "ram")).run(other)
+        pool = pipelined.get_pool(2)
+        pids = [process.pid for process in pool.processes]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            piped = engine.run(other, stream_workers=2)
+        assert rows(piped) == rows(ram)
+        assert piped.stream_report is not None
+        assert piped.stream_report.clean
+        assert pipelined._POOL is pool and pool.alive()
+        assert [process.pid for process in pool.processes] == pids
+
     def test_stream_workers_reject_reference_kernel(self, tmp_path):
+        # Any worker count (even 1, which folds serially) requests
+        # streaming, so the reference simulator must fail loudly rather
+        # than silently running vectorized-only.
         exp = ExperimentSpec(scenes=(SCENE,), layouts=(LAYOUT,), scale=SCALE)
-        with pytest.raises(ValueError, match="vectorized"):
-            Engine(store=ArtifactStore(tmp_path / "a")).run(
-                exp, stream_workers=2, kernel="reference")
+        engine = Engine(store=ArtifactStore(tmp_path / "a"))
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="vectorized"):
+                engine.run(exp, stream_workers=workers, kernel="reference")
 
     def test_audit_parts_requires_streaming(self, tmp_path):
         exp = ExperimentSpec(scenes=(SCENE,), layouts=(LAYOUT,), scale=SCALE)
@@ -182,26 +204,17 @@ class TestPipelinedRun:
 
 class TestFallbacks:
     def test_pool_death_falls_back_to_serial(self, tmp_path, monkeypatch):
+        # No matchers, scope=always: every render block of every attempt
+        # in every worker dies, so no range can finish in the pool.
         exp = ExperimentSpec(**GRID)
         ram = Engine(store=ArtifactStore(tmp_path / "a")).run(exp)
-        monkeypatch.setenv("REPRO_FAULT_STREAM_POOL", "die")
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "kill-worker")
+        monkeypatch.setattr(pipelined, "STREAM_BACKOFF_S", 0.01)
         with pytest.warns(RuntimeWarning, match="falling back"):
             piped = Engine(store=ArtifactStore(tmp_path / "b")).run(
                 exp, chunk_size=4096, stream_workers=2)
         assert rows(ram) == rows(piped)
-
-    def test_shm_unavailable_falls_back_to_serial(self, tmp_path,
-                                                  monkeypatch):
-        # The shm transport must be forced: the default state transport
-        # never touches shared memory, so losing shm cannot break it.
-        exp = ExperimentSpec(**GRID)
-        ram = Engine(store=ArtifactStore(tmp_path / "a")).run(exp)
-        monkeypatch.setenv("REPRO_STREAM_TRANSPORT", "shm")
-        monkeypatch.setenv("REPRO_FAULT_SHM", "unavailable")
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            piped = Engine(store=ArtifactStore(tmp_path / "b")).run(
-                exp, chunk_size=4096, stream_workers=2)
-        assert rows(ram) == rows(piped)
+        assert piped.stream_report.fallbacks == 1
 
     def test_more_workers_than_cores_bit_identical(self, tmp_path):
         # Four workers (more than a small host has cores) finish their
@@ -215,42 +228,6 @@ class TestFallbacks:
                 exp, chunk_size=1024, stream_workers=4)
         assert rows(ram) == rows(piped)
         assert piped.stream_report is None or piped.stream_report.clean
-
-    def test_shm_transport_bit_identical(self, tmp_path, monkeypatch):
-        # Forcing the shared-memory transport keeps the parent-side
-        # fold over shm block descriptors covered; no fallback fires.
-        exp = ExperimentSpec(**GRID)
-        ram = Engine(store=ArtifactStore(tmp_path / "a")).run(exp)
-        monkeypatch.setenv("REPRO_STREAM_TRANSPORT", "shm")
-        store = ArtifactStore(tmp_path / "b")
-        with no_fallback_warning():
-            piped = Engine(store=store).run(exp, chunk_size=4096,
-                                            stream_workers=2)
-        assert rows(ram) == rows(piped)
-        scan = store.verify()
-        assert scan["clean"] and scan["bad"] == 0
-        # Leak check: every shm segment the fold created must be gone
-        # once the pool shuts down (tracked in-flight ones included).
-        shutdown_stream_pool()
-        shm_root = "/dev/shm"
-        if os.path.isdir(shm_root):
-            leaked = [name for name in os.listdir(shm_root)
-                      if name.startswith(f"repro{os.getpid()}s")]
-            assert leaked == []
-
-    def test_store_transport_bit_identical(self, tmp_path, monkeypatch):
-        # Forcing the part-file transport exercises the readiness-
-        # polling protocol end to end; no fallback may fire.
-        exp = ExperimentSpec(**GRID)
-        ram = Engine(store=ArtifactStore(tmp_path / "a")).run(exp)
-        monkeypatch.setenv("REPRO_STREAM_TRANSPORT", "store")
-        store = ArtifactStore(tmp_path / "b")
-        with no_fallback_warning():
-            piped = Engine(store=store).run(exp, chunk_size=4096,
-                                            stream_workers=2)
-        assert rows(ram) == rows(piped)
-        scan = store.verify()
-        assert scan["clean"] and scan["bad"] == 0
 
     def test_single_worker_request_stays_serial(self, tmp_path):
         # stream_workers=1 requests streaming but there is nothing to
@@ -300,21 +277,3 @@ class TestAudit:
         monkeypatch.setattr(streaming, "per_set_distances", corrupted)
         with pytest.raises(StreamingAuditError):
             streamed.audit(pairs, parts=2)
-
-
-class TestShardCap:
-    def test_sharded_pool_capped_at_cpu_count(self, tmp_path, monkeypatch):
-        captured = {}
-        real_pool = multiprocessing.Pool
-
-        def spying_pool(processes=None):
-            captured["processes"] = processes
-            return real_pool(processes=processes)
-
-        monkeypatch.setattr(multiprocessing, "Pool", spying_pool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        streamed = StreamedProfiles(ArtifactStore(tmp_path / "a"),
-                                    town_spec(), LAYOUT,
-                                    chunk_size=4096, shards=8)
-        streamed.prefetch([(64, 16)])
-        assert captured["processes"] == 1

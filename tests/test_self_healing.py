@@ -2,16 +2,16 @@
 
 Every test here injects a fault through the ``REPRO_FAULT_PLAN``
 grammar (:mod:`repro.engine.faults`) at an exact, repeatable point --
-kill worker rendering range r at block b, wedge it, drop its shm
-segment, fill its disk, crash the parent run -- and asserts the
-pipelined fold (:mod:`repro.engine.pipelined`) recovers at *range*
-granularity: bit-identical rows, no whole-fold serial restart, the
-recovery visible on the :class:`~repro.engine.StreamReport`, and a
-clean ``store.verify()`` afterwards.  Together the module is the
-bit-identity sweep over every recovery path: supervised retry,
-wedge detection, shm rollback, ENOSPC demotion retry, residual
-serial escalation, and crash-resume from published parts (in-process
-and across a hard ``os._exit``).
+kill worker rendering range r at block b, wedge it, fill its disk,
+crash the parent run -- and asserts the pipelined fold
+(:mod:`repro.engine.pipelined`) recovers at *range* granularity:
+bit-identical rows, no whole-fold serial restart, the recovery visible
+on the :class:`~repro.engine.StreamReport`, and a clean
+``store.verify()`` afterwards.  Together the module is the
+bit-identity sweep over every recovery path: supervised retry, wedge
+detection, ENOSPC demotion retry, residual serial escalation, and
+crash-resume from published parts (in-process and across a hard
+``os._exit``).
 """
 
 import contextlib
@@ -61,13 +61,6 @@ def piped_run(root, **kwargs):
         **kwargs)
 
 
-def shm_litter():
-    root = Path("/dev/shm")
-    if not root.is_dir():
-        return []
-    return sorted(p.name for p in root.glob(f"repro{os.getpid()}s*"))
-
-
 @contextlib.contextmanager
 def no_fallback_warning():
     with warnings.catch_warnings(record=True) as caught:
@@ -94,7 +87,8 @@ class TestFaultPlanGrammar:
         hit = chaos.maybe_fault("render-block", range=1, block=2)
         assert hit is not None and hit.action == "kill-worker"
         assert chaos.maybe_fault("render-block", range=1, block=1) is None
-        assert chaos.maybe_fault("ship-block", range=1, block=2) is None
+        assert chaos.maybe_fault("range-complete", range=1,
+                                 block=2) is None
         crash = chaos.maybe_fault("range-complete", after=3)
         assert crash is not None and crash.param("mode") == "exit"
         assert chaos.maybe_fault("range-complete", after=2) is None
@@ -192,21 +186,6 @@ class TestWorkerFaults:
         scan = ArtifactStore(tmp_path / "piped").verify()
         assert scan["clean"] and scan["bad"] == 0
 
-    def test_dropped_shm_segment_retries_without_leaking(self, tmp_path,
-                                                         monkeypatch):
-        reference = ram_rows(tmp_path)
-        monkeypatch.setenv("REPRO_STREAM_TRANSPORT", "shm")
-        with injection.fault_plan("drop-shm:range=0,block=0,scope=once",
-                                  tmp_path / "plan"):
-            with no_fallback_warning():
-                result = piped_run(tmp_path / "piped")
-        assert rows(result) == reference
-        report = result.stream_report
-        assert report is not None and report.retried_ranges >= 1
-        assert report.fallbacks == 0
-        shutdown_stream_pool()
-        assert shm_litter() == []
-
     def test_unretryable_range_escalates_serially_not_whole_fold(
             self, tmp_path):
         # scope=always: every attempt of range 0 dies, exhausting the
@@ -286,16 +265,6 @@ class TestCrashResume:
         shutdown_stream_pool()  # drop the crashed run's pool state
         self.assert_resumed(tmp_path, reference, tmp_path / "piped")
 
-    def test_store_transport_crash_resumes_from_parts(self, tmp_path,
-                                                      monkeypatch):
-        monkeypatch.setenv("REPRO_STREAM_TRANSPORT", "store")
-        reference = ram_rows(tmp_path)
-        with injection.fault_plan("kill-run:after=1,mode=raise"):
-            with pytest.raises(chaos.InjectedCrash):
-                piped_run(tmp_path / "piped")
-        shutdown_stream_pool()
-        self.assert_resumed(tmp_path, reference, tmp_path / "piped")
-
     def test_hard_exit_crash_resumes_across_processes(self, tmp_path):
         # The SIGKILL-equivalent: a subprocess os._exit(42)s mid-fold
         # with no cleanup whatsoever, then a fresh process resumes.
@@ -312,7 +281,6 @@ class TestCrashResume:
         src = str(Path(__file__).resolve().parent.parent / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         env["REPRO_FAULT_PLAN"] = "kill-run:after=1,mode=exit"
-        env.pop("REPRO_STREAM_TRANSPORT", None)
         # File-backed output: the killed parent's workers die with it
         # (PR_SET_PDEATHSIG), but pipes would hang communicate() if one
         # straggled through its teardown.
@@ -384,18 +352,3 @@ class TestPoolHygiene:
         assert bigger is not pool
         assert bigger.workers == 3 and bigger.alive()
         assert not pool.alive()  # the old pool was shut down
-
-    def test_forced_shutdown_unlinks_tracked_segments(self):
-        shared_memory = pipelined._shm_module()
-        if shared_memory is None:
-            pytest.skip("no multiprocessing.shared_memory on this host")
-        pool = pipelined.get_pool(2)
-        name = f"{pool.shm_prefix}f1r0b0a0"
-        segment = shared_memory.SharedMemory(create=True, size=64,
-                                             name=name)
-        segment.close()
-        pool.inflight_segments.add(name)
-        shutdown_stream_pool()
-        assert shm_litter() == []
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)

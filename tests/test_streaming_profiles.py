@@ -3,7 +3,7 @@
 The streaming pipeline's correctness reduces to one algebraic claim:
 ``PartialSetProfile.merge(a, b)`` equals the profile of the
 concatenated stream, field for field.  That makes the merge
-associative, so any block partition (and any merge tree over shards)
+associative, so any block partition (and any merge tree over ranges)
 finalizes to the exact whole-stream :class:`SetDistanceProfile` --
 which these tests check directly against ``from_stream`` and against
 the sequential cache simulator, across the paper's cache grids.
