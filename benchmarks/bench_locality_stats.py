@@ -9,16 +9,15 @@ Regenerates the paper's pre-cache locality measurements:
 * same-texture runlengths -- 223,629 (Town), 553,745 (Guitar) and
   562,154 (Flight) at full scale; the headline is that the working set
   holds one texture at a time.
+
+The numbers are the engine's stored ``"locality"`` summaries, so a warm
+run loads no trace.
 """
 
 from paperbench import emit
 
-from repro.analysis import (
-    accesses_per_texel,
-    format_table,
-    mean_texture_runlength,
-    repetition_factor,
-)
+from repro.analysis import format_table
+from repro.analysis.metrics import AccessesPerTexel
 from repro.scenes import ALL_SCENES
 
 PAPER_REPETITION = {"town": 2.9, "guitar": 1.7, "goblet": 1.1, "flight": 1.0}
@@ -28,12 +27,12 @@ PAPER_RUNLENGTH = {"town": 223629, "guitar": 553745, "flight": 562154}
 def measure(bank):
     stats = {}
     for name in ALL_SCENES:
-        trace = bank.trace(name, bank.paper_order_spec(name))
+        summary = bank.summary("locality", name, bank.paper_order_spec(name))
         stats[name] = {
-            "apt": accesses_per_texel(trace),
-            "repetition": repetition_factor(trace),
-            "runlength": mean_texture_runlength(trace),
-            "accesses": trace.n_accesses,
+            "apt": AccessesPerTexel(**summary["accesses_per_texel"]),
+            "repetition": summary["repetition_factor"],
+            "runlength": summary["mean_texture_runlength"],
+            "accesses": summary["n_accesses"],
         }
     return stats
 

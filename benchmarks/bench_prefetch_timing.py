@@ -9,7 +9,9 @@ over a fragment-FIFO depth x fill latency grid.  The whole grid is
 first computed with ``kernel="reference"`` (one sequential walk per
 cell) and with the vectorized lag-blocked scan (one pass per depth
 batch, the latency axis as scan rows), asserted cycle-exactly equal on
-every metric of every cell, and then timed.
+every metric of every cell, and then timed.  Below the kernel's
+crossover the vectorized entry point runs the sequential walk itself,
+so the lag-blocked scan is also checked directly on the same inputs.
 
 The grid reproduces the Igehy et al. 1998 result that extends the
 source paper's Section 7.1.1 premise: once the fragment FIFO is deep
@@ -44,7 +46,12 @@ from paperbench import SceneBank, paper_order_spec, scaled_cache  # noqa: E402
 from repro.core import CacheConfig  # noqa: E402
 from repro.core.dram import PAPER_DRAM  # noqa: E402
 from repro.core.machine import PAPER_MACHINE  # noqa: E402
-from repro.core.texcache import fragment_fill_streams, sweep_texcache  # noqa: E402
+from repro.core.texcache import (  # noqa: E402
+    _check_streams,
+    _sweep_blocked,
+    fragment_fill_streams,
+    sweep_texcache,
+)
 
 SCENES = ("flight", "goblet", "guitar", "town")
 LAYOUT = ("blocked", 8)
@@ -117,6 +124,12 @@ def measure(bank, smoke: bool = False) -> dict:
                 counts, params, depths, latencies, services=services))
             ms_after = elapsed if ms_after is None else min(ms_after, elapsed)
         _assert_grids_equal(fast, slow, scene)
+        # The vectorized entry point runs the sequential walk on grids
+        # below its crossover (the smoke's are); check the lag-blocked
+        # scan itself on the same inputs as well.
+        _assert_grids_equal(_sweep_blocked(
+            *_check_streams(counts, services, params), params,
+            list(depths), latencies), slow, scene)
         per_scene[scene] = {
             "fragments": int(len(counts)),
             "fills": int(counts.sum()),
@@ -172,8 +185,8 @@ def main(argv=None) -> int:
           f"{report['ms_after']:.1f} ms "
           f"({report['speedup']:.1f}x combined; {detail})")
     if args.smoke:
-        print("smoke OK: vectorized == reference on every metric of "
-              "every grid cell, all scenes")
+        print("smoke OK: vectorized == blocked scan == reference on every "
+              "metric of every grid cell, all scenes")
         return 0
     RESULT_PATH.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {RESULT_PATH}")

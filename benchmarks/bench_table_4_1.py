@@ -4,14 +4,15 @@ Measures, for each procedural scene, the properties the paper
 tabulates for the originals, and prints them side by side so deviations
 of the stand-in scenes are visible.  Absolute values shrink with
 REPRO_SCALE (resolution and texture dimensions scale together); the
-paper's values correspond to scale 1.0.
+paper's values correspond to scale 1.0.  The rows are the engine's
+stored ``"scene"`` summaries, so a warm run builds no scene.
 """
 
 from paperbench import SCALE, emit
 
 from repro.analysis import format_table
 from repro.scenes import ALL_SCENES
-from repro.scenes.stats import characterize
+from repro.scenes.stats import SceneCharacteristics
 
 #: Table 4.1 as published (scale 1.0).
 PAPER = {
@@ -31,12 +32,9 @@ PAPER = {
 
 
 def measure(bank):
-    rows = []
-    for name in ALL_SCENES:
-        scene = bank.scene(name)
-        result = bank.render(name, bank.paper_order_spec(name))
-        rows.append(characterize(scene, result))
-    return rows
+    return [SceneCharacteristics(**bank.summary(
+                "scene", name, bank.paper_order_spec(name)))
+            for name in ALL_SCENES]
 
 
 def test_table_4_1(benchmark, bank):

@@ -15,9 +15,6 @@ def bank():
     """One SceneBank per benchmark session: its engine's memos and store
     are shared across every table/figure harness, and the profile
     harnesses resolve their store misses on its persistent worker
-    pool."""
-    shared = SceneBank()
-    # Self-heal before a long bench session: quarantine anything a
-    # previous crashed run corrupted and purge its stale temp litter.
-    shared.engine.store.repair()
-    return shared
+    pool.  No store-wide scan runs here: each load verifies its own
+    artifact and quarantines and recomputes a damaged one."""
+    return SceneBank()

@@ -12,7 +12,12 @@ source itself to ``miss_rate_curve``/``simulate``/``classify_misses``
 (never ``streams.stream(line)``), so a warm pytest-benchmark session
 performs **zero** renders, loads no address stream and runs **no**
 distance pass: every number is read off a stored profile,
-bit-identical to the cold run.
+bit-identical to the cold run.  The two scene-statistics tables (Table
+4.1 and the locality numbers) read ``bank.summary(...)``, small stored
+dicts, so a warm session also builds no scene and loads no trace.
+Nothing scans the whole store at session start: every load verifies
+its own integrity envelope and quarantines and recomputes a damaged
+artifact (``python -m repro cache verify`` checks the whole store).
 
 The profile harnesses state their whole grid once, as ``{key: (scene,
 order, layout, query)}`` cells (queries: :func:`curve`,
@@ -124,6 +129,14 @@ class SceneBank:
         together with its per-line-size collapsed streams/profiles."""
         return self.engine.streams(self._spec(name, order_spec, **options),
                                    layout_spec)
+
+    def summary(self, summary: str, name: str, order_spec: tuple,
+                **options) -> dict:
+        """Stored per-trace statistics (:meth:`~repro.engine.Engine.summary`:
+        ``"scene"`` or ``"locality"``) for (scene, order); a warm store
+        serves them without building the scene or loading the trace."""
+        return self.engine.summary(summary,
+                                   self._spec(name, order_spec, **options))
 
     def evaluate(self, grid: dict) -> dict:
         """Evaluate a harness's grid: ``{key: (scene, order, layout,

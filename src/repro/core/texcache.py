@@ -35,7 +35,10 @@ queue occupancies.  Two implementations sit behind the repository's
     recurrence collapses to ``np.maximum.accumulate`` over running-sum
     transforms.  All arithmetic is int64, so the two kernels agree
     cycle-exactly, and a whole axis of fill latencies is batched as
-    rows of the same 2-D scans (:func:`sweep_texcache`).
+    rows of the same 2-D scans (:func:`sweep_texcache`).  Each block
+    costs a fixed handful of numpy calls, so on short or shallow grids
+    the sequential walk is faster: below :data:`_BLOCKED_CROSSOVER`
+    the vectorized entry points run the walk instead.
 
 Timing semantics (all quantities in cycles, fragment ``i``, fill ``j``
 with ``frag(j)`` its owner, ``J(i)`` the last fill of fragment ``i``):
@@ -96,6 +99,16 @@ _NEG = np.int64(-(np.int64(1) << np.int64(60)))
 #: Ceiling on depth x latency grid rows solved in one blocked pass --
 #: bounds the transient (events x rows) arrays in :func:`sweep_texcache`.
 _SWEEP_ROW_CAP = 64
+
+#: Below this ratio of sequential-walk steps (fragments x grid cells)
+#: to blocked-scan blocks (fragments / minimum FIFO depth) the
+#: vectorized kernel runs the sequential walk instead, which is then
+#: the faster of two cycle-identical implementations.  Measured on a
+#: 2-vCPU host over 500-50,000 fragments: the two break even near a
+#: ratio of 64-128 (``bench_prefetch_timing --smoke``'s 4 cells at
+#: depth 8, ratio 32, ran the blocked scan at 0.4x the walk's speed;
+#: 48 cells at depth 32, ratio 1536, ran it at 7-8x).
+_BLOCKED_CROSSOVER = 128
 
 
 def _as_cycles(value, name: str) -> int:
@@ -628,7 +641,8 @@ def simulate_texcache(miss_counts: np.ndarray, params: TexCacheParams,
     kernels.check_kernel(kernel)
     miss_counts, services = _check_streams(miss_counts, services, params)
     latency = params.fill_latency
-    if kernel == "vectorized":
+    if kernel == "vectorized" and _blocked_pays(
+            len(miss_counts), 1, params.fragment_fifo):
         enter, accept, begin = (x[0] for x in _timing_blocked(
             miss_counts, services, params, [params.fragment_fifo],
             [latency]))
@@ -648,7 +662,8 @@ def sweep_texcache(miss_counts: np.ndarray, params: TexCacheParams,
     The vectorized kernel batches the whole latency axis of one depth
     as rows of the same 2-D scans (the block structure depends only on
     the depth), which is where the order-of-magnitude win over the
-    per-cell sequential walk comes from.
+    per-cell sequential walk comes from -- on grids too small for that
+    (see :data:`_BLOCKED_CROSSOVER`) it runs the walk instead.
     """
     kernels.check_kernel(kernel)
     if latencies is None:
@@ -658,31 +673,48 @@ def sweep_texcache(miss_counts: np.ndarray, params: TexCacheParams,
     if not depths or not latencies:
         return {}
     counts, serv = _check_streams(miss_counts, services, params)
+    if kernel == "vectorized" and _blocked_pays(
+            len(counts), len(depths) * len(latencies), min(depths)):
+        return _sweep_blocked(counts, serv, params, depths, latencies)
     results = {}
-    if kernel == "vectorized":
-        # One blocked pass covers a whole batch of depths (block width
-        # = the batch's smallest depth, so batch neighbours); cap the
-        # grid rows per pass to bound the (events x rows) transients.
-        group = max(1, _SWEEP_ROW_CAP // max(len(latencies), 1))
-        ordered = sorted(set(depths))
-        for lo in range(0, len(ordered), group):
-            batch = ordered[lo:lo + group]
-            enter, accept, begin = _timing_blocked(
-                counts, serv, params, batch, latencies)
-            results.update(_grid_results(
-                counts, params, batch, latencies, enter, accept, begin))
-        results = {(depth, latency): results[(depth, latency)]
-                   for depth in depths for latency in latencies}
-    else:
-        for depth in depths:
-            for latency in latencies:
-                run = replace(params, fragment_fifo=depth,
-                              fill_latency=latency)
-                enter, accept, begin = _timing_reference(
-                    counts, serv, run, latency)
-                results[(depth, latency)] = _result_from_times(
-                    counts, run, enter, accept, begin)
+    for depth in depths:
+        for latency in latencies:
+            run = replace(params, fragment_fifo=depth, fill_latency=latency)
+            enter, accept, begin = _timing_reference(
+                counts, serv, run, latency)
+            results[(depth, latency)] = _result_from_times(
+                counts, run, enter, accept, begin)
     return results
+
+
+def _blocked_pays(n_fragments: int, n_cells: int, min_depth: int) -> bool:
+    """Whether the lag-blocked scan beats the sequential walk on a grid
+    of ``n_cells`` (depth, latency) cells over ``n_fragments``
+    fragments: the walk steps once per fragment and cell, the scan
+    once per block of ``min_depth`` fragments."""
+    blocks = max(n_fragments / max(min_depth, 1), 1.0)
+    return n_fragments * n_cells >= _BLOCKED_CROSSOVER * blocks
+
+
+def _sweep_blocked(counts: np.ndarray, services: np.ndarray,
+                   params: TexCacheParams, depths, latencies) -> dict:
+    """:func:`sweep_texcache`'s grid on the lag-blocked scan, whatever
+    its size (``counts``/``services`` already through
+    :func:`_check_streams`)."""
+    # One blocked pass covers a whole batch of depths (block width =
+    # the batch's smallest depth, so batch neighbours); cap the grid
+    # rows per pass to bound the (events x rows) transients.
+    results = {}
+    group = max(1, _SWEEP_ROW_CAP // max(len(latencies), 1))
+    ordered = sorted(set(depths))
+    for lo in range(0, len(ordered), group):
+        batch = ordered[lo:lo + group]
+        enter, accept, begin = _timing_blocked(
+            counts, services, params, batch, latencies)
+        results.update(_grid_results(
+            counts, params, batch, latencies, enter, accept, begin))
+    return {(depth, latency): results[(depth, latency)]
+            for depth in depths for latency in latencies}
 
 
 def fill_service_cycles(fill_lines: np.ndarray, line_size: int,

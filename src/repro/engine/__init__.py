@@ -9,9 +9,10 @@ obtain pipeline intermediates:
 * :class:`TraceSpec` / :class:`ExperimentSpec` -- declarative
   descriptions of one render or a whole sweep grid;
 * :class:`Engine` / :func:`run_experiment` -- the runner that
-  deduplicates shared stages; :meth:`Engine.prefetch` resolves a batch
-  of profile requests' store misses in parallel on the persistent
-  worker pool.
+  deduplicates shared stages; :meth:`Engine.summary` serves stored
+  per-trace statistics (Table 4.1, locality); :meth:`Engine.prefetch`
+  resolves a batch of profile requests' store misses in parallel on
+  the persistent worker pool.
 
 Quickstart::
 
@@ -35,6 +36,7 @@ from .artifacts import (
     fingerprint,
     profile_payload,
     set_profile_payload,
+    summary_payload,
 )
 from .tiers import (
     DigestCache,
@@ -87,6 +89,7 @@ __all__ = [
     "fingerprint",
     "profile_payload",
     "set_profile_payload",
+    "summary_payload",
     "DigestCache",
     "MemoryTier",
     "RemoteTier",

@@ -11,7 +11,7 @@ payload describing *all* the inputs of the stage -- scene name,
 reproduction scale, animation time, traversal-order spec, filtering
 options, layout spec and a pipeline version stamp -- so artifacts
 produced by an older pipeline (or different parameters) simply never
-match and stale data self-invalidates.  Four artifact kinds exist:
+match and stale data self-invalidates.  Five artifact kinds exist:
 
 ``traces/``
     Rendered :class:`~repro.pipeline.trace.TexelTrace` archives
@@ -30,6 +30,11 @@ match and stale data self-invalidates.  Four artifact kinds exist:
     Per-set stack-distance summaries per ``(line_size, n_sets)``
     (``.npz``); one answers every associativity sharing that set
     count, so warm sessions sweep whole grids without a distance pass.
+``summaries/``
+    Small JSON dicts of per-trace statistics (``.summary``), such as a
+    scene's Table 4.1 row, keyed by summary name and version; warm
+    sessions read them instead of building the scene or loading the
+    trace.
 
 The root directory defaults to ``benchmarks/.cache/`` and is
 overridable with the ``REPRO_CACHE_DIR`` environment variable.
@@ -117,7 +122,7 @@ from .spec import TraceSpec
 PIPELINE_VERSION = 1
 
 #: Artifact kinds, also the store's subdirectory names.
-KINDS = ("traces", "addresses", "profiles", "set_profiles")
+KINDS = ("traces", "addresses", "profiles", "set_profiles", "summaries")
 
 #: Maintenance subdirectories (never fingerprint-addressed).
 QUARANTINE_DIR = "quarantine"
@@ -218,6 +223,12 @@ def set_profile_payload(address_payload: dict, line_size: int,
     """Fingerprint payload for a per-set stack-distance profile."""
     return {"addresses": address_payload, "line_size": line_size,
             "n_sets": n_sets}
+
+
+def summary_payload(name: str, version: int, trace_spec: TraceSpec) -> dict:
+    """Fingerprint payload for a stored per-trace summary."""
+    return {"summary": name, "version": version,
+            "trace": trace_spec.payload()}
 
 
 def _replace(source: str, destination) -> None:
@@ -1028,6 +1039,44 @@ class ArtifactStore:
             self._memory_put("set_profiles", digest, ".npz", profile,
                              profile.counts.nbytes + 64)
             self._publish_remote("set_profiles", digest, ".npz")
+        return path
+
+    # -- per-trace summaries ---------------------------------------------
+
+    def load_summary(self, payload: dict) -> Optional[dict]:
+        """The stored summary dict for ``payload``, or ``None``."""
+        digest = fingerprint(payload)
+        cached = self._memory_get("summaries", digest)
+        if cached is not tiers.MISS:
+            return cached
+        checked = self._open_verified("summaries", digest, ".summary")
+        if checked is None:
+            return None
+        path, _ = checked
+        try:
+            values = json.loads(path.read_text())
+            if not isinstance(values, dict):
+                raise ValueError("summary payload is not an object")
+        except (OSError, ValueError) as fault:
+            self.quarantine("summaries", digest,
+                            f"undecodable summary ({fault!r})")
+            return None
+        self._memory_put("summaries", digest, ".summary", values, 256)
+        return values
+
+    def save_summary(self, payload: dict, values: dict) -> Path:
+        """Persist a JSON-able summary dict (floats round-trip exactly
+        through ``repr``)."""
+        digest = fingerprint(payload)
+        path = self._path("summaries", digest, ".summary")
+
+        def publish():
+            _atomic_write(path, lambda temp: Path(temp).write_text(
+                json.dumps(values, sort_keys=True)))
+            self._write_sidecar("summaries", digest, path, payload)
+        if self._guarded_write(publish):
+            self._memory_put("summaries", digest, ".summary", values, 256)
+            self._publish_remote("summaries", digest, ".summary")
         return path
 
     # -- maintenance -----------------------------------------------------

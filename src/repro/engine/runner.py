@@ -32,17 +32,23 @@ transparently continues on its in-memory memos.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from ..analysis.metrics import (
+    accesses_per_texel,
+    mean_texture_runlength,
+    repetition_factor,
+)
 from ..core.cache import CacheConfig, CacheStats, simulate
 from ..core.kernels import SetDistanceProfile, check_kernel
 from ..core.stackdist import DistanceProfile
 from ..core.sweep import TraceStreams
 from ..pipeline.renderer import Renderer, RenderResult
 from ..scenes import ALL_SCENES
+from ..scenes.stats import characterize
 from ..texture.memory import place_textures
 from .artifacts import (
     ArtifactStore,
@@ -50,6 +56,7 @@ from .artifacts import (
     fingerprint,
     profile_payload,
     set_profile_payload,
+    summary_payload,
 )
 from .spec import ExperimentSpec, TraceSpec, layout_from_spec, order_from_spec
 
@@ -63,6 +70,43 @@ RENDER_CALLS = 0
 #: go without a heartbeat is the pool's ``REPRO_STREAM_JOB_TIMEOUT``.
 WARM_RETRIES = 2
 WARM_BACKOFF_S = 0.25
+
+
+def _scene_summary(engine: "Engine", spec: TraceSpec) -> dict:
+    """Table 4.1's row: the fields of
+    :func:`~repro.scenes.stats.characterize`'s result."""
+    scene = engine.scene(spec.scene, spec.scale, spec.time)
+    return asdict(characterize(scene, engine.render(spec)))
+
+
+def _locality_summary(engine: "Engine", spec: TraceSpec) -> dict:
+    """The trace's Section 3.1.2 / 5.2.3 locality statistics."""
+    trace = engine.trace(spec)
+    return {
+        "accesses_per_texel": accesses_per_texel(trace).as_dict(),
+        "repetition_factor": repetition_factor(trace),
+        "mean_texture_runlength": mean_texture_runlength(trace),
+        "n_accesses": trace.n_accesses,
+    }
+
+
+#: Stored per-trace summaries served by :meth:`Engine.summary`: name ->
+#: ``(version, compute(engine, trace_spec) -> dict)``.  The version is
+#: part of the fingerprint; bump it when a function's output changes.
+SUMMARIES = {
+    "scene": (1, _scene_summary),
+    "locality": (1, _locality_summary),
+}
+
+
+def _plain(value):
+    """``value`` with numpy scalars turned into Python ints and floats,
+    so it is JSON-able and round-trips exactly."""
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
 
 
 def render_calls() -> int:
@@ -252,6 +296,7 @@ class Engine:
         self._placements = {}
         self._streams = {}
         self._streamed = {}
+        self._summaries = {}
 
     # -- scene construction (cheap, never persisted) ---------------------
 
@@ -323,6 +368,31 @@ class Engine:
         self._renders.clear()
         self._streams.clear()
         self._streamed.clear()
+
+    # -- per-trace summaries ---------------------------------------------
+
+    def summary(self, name: str, spec: TraceSpec) -> dict:
+        """The :data:`SUMMARIES` entry ``name`` for ``spec``'s trace:
+        memoized, then store-backed, then computed under the
+        per-fingerprint single-flight lock.  A store hit builds no
+        scene and loads no trace."""
+        if name not in SUMMARIES:
+            raise ValueError(f"unknown summary {name!r} "
+                             f"(expected one of {sorted(SUMMARIES)})")
+        key = (name, spec)
+        if key not in self._summaries:
+            version, compute = SUMMARIES[name]
+            payload = summary_payload(name, version, spec)
+            values = self.store.load_summary(payload)
+            if values is None:
+                with self.store.single_flight("summaries",
+                                              fingerprint(payload)):
+                    values = self.store.load_summary(payload)
+                    if values is None:
+                        values = _plain(compute(self, spec))
+                        self.store.save_summary(payload, values)
+            self._summaries[key] = values
+        return self._summaries[key]
 
     # -- placements and address streams ----------------------------------
 

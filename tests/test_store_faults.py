@@ -40,12 +40,13 @@ ADDR_PAYLOAD = addresses_payload(SPEC, LAYOUT)
 
 
 def warm_store(root):
-    """A store populated with all four artifact kinds for SPEC/LAYOUT."""
+    """A store populated with every artifact kind for SPEC/LAYOUT."""
     store = ArtifactStore(root)
     engine = Engine(store=store)
     streams = engine.streams(SPEC, LAYOUT)
     streams.profile(32)
     streams.set_profile(32, 8)
+    engine.summary("locality", SPEC)
     return store, engine
 
 

@@ -4,8 +4,13 @@ the per-event sequential reference walk to the integer cycle, on
 randomized streams (hypothesis), the sweep grid's batched rows, and a
 real rendered scene slice -- plus the edge cases the blocking logic is
 most likely to get wrong (empty stream, depth-0 FIFO, single-bank DRAM
-service times).
+service times).  The vectorized entry points run the sequential walk on
+grids below the kernel crossover, so every equivalence case forces the
+lag-blocked scan (:func:`blocked_scan`) to keep comparing it with the
+reference walk on the same inputs.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from hypothesis import strategies as st
 from repro.core.cache import CacheConfig
 from repro.core.dram import PAPER_DRAM, DramModel
 from repro.core.kernels import miss_stream
+from repro.core import texcache
 from repro.core.machine import PAPER_MACHINE, MachineModel
 from repro.core.texcache import (
     TexCacheParams,
@@ -29,6 +35,12 @@ from repro.engine import Engine, TraceSpec
 FIELDS = ("n_fragments", "n_fills", "total_cycles", "ideal_cycles",
           "stall_cycles", "fragment_fifo_wait", "request_fifo_wait",
           "reorder_buffer_wait")
+
+
+def blocked_scan():
+    """Context in which the vectorized entry points always run the
+    lag-blocked scan, however small the grid."""
+    return mock.patch.object(texcache, "_BLOCKED_CROSSOVER", 0)
 
 
 def assert_results_equal(fast: TexCacheResult, slow: TexCacheResult, msg=""):
@@ -69,7 +81,8 @@ class TestKernelEquivalence:
     @settings(max_examples=150, deadline=None)
     def test_vectorized_matches_reference(self, case):
         counts, services, params = case
-        fast = simulate_texcache(counts, params, services=services)
+        with blocked_scan():
+            fast = simulate_texcache(counts, params, services=services)
         slow = simulate_texcache(counts, params, services=services,
                                  kernel="reference")
         assert_results_equal(fast, slow, params)
@@ -85,8 +98,9 @@ class TestKernelEquivalence:
                                     max_size=4))
         latencies = data.draw(st.lists(st.integers(1, 50), min_size=1,
                                        max_size=3))
-        fast = sweep_texcache(counts, params, depths, latencies,
-                              services=services)
+        with blocked_scan():
+            fast = sweep_texcache(counts, params, depths, latencies,
+                                  services=services)
         slow = sweep_texcache(counts, params, depths, latencies,
                               services=services, kernel="reference")
         assert set(fast) == set(slow)
@@ -96,8 +110,9 @@ class TestKernelEquivalence:
     def test_empty_stream(self):
         params = TexCacheParams()
         for kernel in ("vectorized", "reference"):
-            result = simulate_texcache(np.zeros(0, dtype=np.int64), params,
-                                       kernel=kernel)
+            with blocked_scan():
+                result = simulate_texcache(np.zeros(0, dtype=np.int64),
+                                           params, kernel=kernel)
             assert result.n_fragments == 0
             assert result.total_cycles == 0
             assert result.stall_cycles == 0
@@ -108,7 +123,8 @@ class TestKernelEquivalence:
         # texture, so each missing fragment pays the full latency.
         counts = np.asarray([1, 0, 1, 1, 0], dtype=np.int64)
         params = TexCacheParams(fragment_fifo=0, fill_latency=40)
-        fast = simulate_texcache(counts, params)
+        with blocked_scan():
+            fast = simulate_texcache(counts, params)
         slow = simulate_texcache(counts, params, kernel="reference")
         assert_results_equal(fast, slow)
         assert fast.stall_cycles >= 3 * params.fill_latency
@@ -129,13 +145,81 @@ class TestKernelEquivalence:
         counts = np.asarray([0, 3, 1], dtype=np.int64)
         params = TexCacheParams(reorder_buffer=2)
         for kernel in ("vectorized", "reference"):
-            with pytest.raises(ValueError, match="deadlock"):
+            with blocked_scan(), pytest.raises(ValueError, match="deadlock"):
                 simulate_texcache(counts, params, kernel=kernel)
 
     def test_bad_kernel_rejected(self):
         with pytest.raises(ValueError):
             simulate_texcache(np.zeros(1, dtype=np.int64), TexCacheParams(),
                               kernel="magic")
+
+
+class TestCrossover:
+    """The vectorized entry points pick the lag-blocked scan only where
+    it beats the sequential walk; both give the same cycles."""
+
+    @staticmethod
+    def _stream(n_fragments, seed=0):
+        rng = np.random.default_rng(seed)
+        return ((rng.random(n_fragments) < 0.3)
+                * rng.integers(1, 3, n_fragments)).astype(np.int64)
+
+    def _kernel_runs(self, monkeypatch):
+        runs = []
+        blocked = texcache._timing_blocked
+
+        def counted(*args, **kwargs):
+            runs.append(True)
+            return blocked(*args, **kwargs)
+
+        monkeypatch.setattr(texcache, "_timing_blocked", counted)
+        return runs
+
+    def test_timing_workload_sweeps_stay_blocked(self, monkeypatch):
+        # The smallest of the timing benchmark's four sweeps: goblet
+        # at scale 0.25, 8,752 fragments over 6 FIFO depths from 32 x
+        # 24 fill latencies.
+        assert texcache._blocked_pays(8752, 144, 32)
+        runs = self._kernel_runs(monkeypatch)
+        depths = (32, 64, 128, 256, 512, 1024)
+        latencies = sorted({int(round(latency))
+                            for latency in np.geomspace(4, 1024, 24)})
+        assert len(depths) * len(latencies) == 144
+        params = PAPER_MACHINE.texcache_params(64, request_fifo=128,
+                                               reorder_buffer=128)
+        sweep_texcache(self._stream(8752), params, depths, latencies)
+        assert runs
+
+    def test_small_grid_runs_the_walk(self, monkeypatch):
+        # bench_prefetch_timing --smoke at REPRO_SCALE=0.05: 5,000
+        # fragments, 2 depths from 8 x 2 latencies.
+        assert not texcache._blocked_pays(5000, 4, 8)
+        runs = self._kernel_runs(monkeypatch)
+        counts = self._stream(5000, seed=1)
+        params = PAPER_MACHINE.texcache_params(64, request_fifo=128,
+                                               reorder_buffer=128)
+        fast = sweep_texcache(counts, params, (8, 64), (10, 120))
+        assert not runs
+        slow = sweep_texcache(counts, params, (8, 64), (10, 120),
+                              kernel="reference")
+        for cell in slow:
+            assert_results_equal(fast[cell], slow[cell], cell)
+        with blocked_scan():
+            blocked = sweep_texcache(counts, params, (8, 64), (10, 120))
+        assert runs
+        for cell in slow:
+            assert_results_equal(blocked[cell], slow[cell], cell)
+
+    def test_work_ratio(self):
+        crossover = texcache._BLOCKED_CROSSOVER
+        # One cell at depth d: the walk's n steps against n / d blocks.
+        assert texcache._blocked_pays(10_000, 1, crossover)
+        assert not texcache._blocked_pays(10_000, 1, crossover // 2)
+        # Cells and depth trade off; fragments cancel out.
+        assert texcache._blocked_pays(10_000, 4, crossover // 4)
+        assert texcache._blocked_pays(100_000, 4, crossover // 4)
+        # An empty stream never pays for the scan's set-up.
+        assert not texcache._blocked_pays(0, 144, 32)
 
 
 class TestFillServices:
@@ -174,7 +258,8 @@ class TestFillServices:
             rng.integers(0, 256, size=int(counts.sum()), dtype=np.int64),
             64, DramModel(n_banks=1))
         params = TexCacheParams(reorder_buffer=4)
-        fast = simulate_texcache(counts, params, services=services)
+        with blocked_scan():
+            fast = simulate_texcache(counts, params, services=services)
         slow = simulate_texcache(counts, params, services=services,
                                  kernel="reference")
         assert_results_equal(fast, slow)
@@ -224,7 +309,8 @@ class TestSceneSlice:
         assert len(services) == len(miss_stream(
             addresses[:8 * len(counts)], config))
         params = PAPER_MACHINE.texcache_params(64)
-        fast = simulate_texcache(counts, params, services=services)
+        with blocked_scan():
+            fast = simulate_texcache(counts, params, services=services)
         slow = simulate_texcache(counts, params, services=services,
                                  kernel="reference")
         assert_results_equal(fast, slow)
@@ -236,7 +322,8 @@ class TestSceneSlice:
                                                reorder_buffer=16)
         depths = (0, 2, 16, 64)
         latencies = (4, 50, 300)
-        fast = sweep_texcache(counts, params, depths, latencies)
+        with blocked_scan():
+            fast = sweep_texcache(counts, params, depths, latencies)
         slow = sweep_texcache(counts, params, depths, latencies,
                               kernel="reference")
         for cell in fast:
